@@ -15,9 +15,9 @@ drives it over real sockets with N keep-alive viewer connections:
 5. **dynamic update** — a fresh dynamic handle over a grid world: cold
    pan served by progressive placeholders (time-to-first-tile measured
    against a hard budget), then one localized client move, after which
-   clean tiles must keep revalidating 304, the dirty tiles must refresh
-   through the windowed incremental re-render, and every refreshed tile
-   must be byte-identical to a from-scratch build of the moved world.
+   clean tiles must keep revalidating 304, each dirty tile must refresh
+   with exactly one render, and every refreshed tile must be
+   byte-identical to a from-scratch build of the moved world.
 
 Latency percentiles come from the shared ``repro.service.latency``
 module, so the numbers are directly comparable with
@@ -26,9 +26,9 @@ module, so the numbers are directly comparable with
 Self-checks (non-zero exit on failure): exactly one sweep for the one
 fingerprint, renders <= distinct tiles, all viewers receive identical
 tile bytes, every revalidation hits 304, placeholder TTFT under budget,
-clean tiles stay 304 after a partial update, incremental re-renders
-match the dirty-tile count, and the converged tiles are byte-identical
-to a from-scratch render. ``--tile-p99-budget-ms`` /
+clean tiles stay 304 after a partial update, renders match the
+dirty-tile count, and the converged tiles are byte-identical to a
+from-scratch render. ``--tile-p99-budget-ms`` /
 ``--query-p99-budget-ms`` turn the latency percentiles into gates too.
 
 Run standalone (no pytest)::
@@ -92,7 +92,7 @@ def _grid_instance():
 
 
 def _dynamic_update_phase(server, recorder, checks, args) -> dict:
-    """Phase 5 — progressive placeholders + incremental re-renders under
+    """Phase 5 — progressive placeholders + dirty-tile re-renders under
     one localized dynamic update (see the module docstring)."""
     conn = http.client.HTTPConnection(server.host, server.port, timeout=120)
     try:
@@ -172,10 +172,8 @@ def _dynamic_update_phase(server, recorder, checks, args) -> dict:
         checks["clean_tiles_stay_304"] = (
             n200 + n304 == len(addresses) and 1 <= n200 < len(addresses)
         )
-        checks["rerenders_match_dirty_tiles"] = (
-            after["tile_rerenders_partial"] - before["tile_rerenders_partial"]
-            == n200
-            and after["tile_renders"] - before["tile_renders"] == n200
+        checks["renders_match_dirty_tiles"] = (
+            after["tile_renders"] - before["tile_renders"] == n200
         )
 
         # Differential gate: a from-scratch static build of the moved

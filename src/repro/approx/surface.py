@@ -271,51 +271,12 @@ class ApproxHeatSurface:
 
     # -- rasterization ---------------------------------------------------
     def rasterize(
-        self,
-        width: int,
-        height: int,
-        bounds: "Rect | None" = None,
-        window: "tuple[int, int, int, int] | None" = None,
+        self, width: int, height: int, bounds: "Rect | None" = None
     ) -> "tuple[np.ndarray, Rect]":
-        """Heat sampled at pixel centers — the tile renderer's contract.
+        """Heat at pixel centres; see ``repro.render.raster``."""
+        from ..render.raster import rasterize_regionset
 
-        Mirrors :func:`repro.render.raster.rasterize_regionset` exactly:
-        row 0 is the bottom row, ``window`` is half-open absolute pixel
-        ranges whose sub-grid is bit-identical to the same slice of a full
-        raster, and the returned bounds describe the full raster.
-        """
-        if width <= 0 or height <= 0:
-            raise InvalidInputError("raster dimensions must be positive")
-        if window is not None:
-            r0, r1, c0, c1 = window
-            if not (0 <= r0 < r1 <= height and 0 <= c0 < c1 <= width):
-                raise InvalidInputError(
-                    f"window {window!r} must be non-empty half-open pixel "
-                    f"ranges within ({height}, {width})"
-                )
-        if bounds is None:
-            bounds = self.bounds()
-        if bounds is None:
-            bounds = Rect(0.0, 1.0, 0.0, 1.0)
-        wr0, wr1, wc0, wc1 = (0, height, 0, width) if window is None else window
-        if len(self._plane_centers) == 0:
-            grid = np.full((wr1 - wr0, wc1 - wc0), self.default_heat, dtype=float)
-            return grid, bounds
-        x_span = bounds.x_hi - bounds.x_lo
-        y_span = bounds.y_hi - bounds.y_lo
-        if x_span <= 0 or y_span <= 0:
-            raise InvalidInputError("raster bounds must have positive extent")
-        xs = bounds.x_lo + (np.arange(wc0, wc1) + 0.5) * x_span / width
-        ys = bounds.y_lo + (np.arange(wr0, wr1) + 0.5) * y_span / height
-        grid = np.empty((wr1 - wr0, wc1 - wc0), dtype=float)
-        # Row-chunked evaluation keeps the (pixels x circles) bool bounded.
-        rows_per = max(1, _POINT_CHUNK // max(1, len(xs)))
-        for lo in range(0, len(ys), rows_per):
-            hi = min(lo + rows_per, len(ys))
-            gx, gy = np.meshgrid(xs, ys[lo:hi])
-            pts = np.column_stack([gx.ravel(), gy.ravel()])
-            grid[lo:hi] = self._apply_floor(self._counts(pts)).reshape(hi - lo, len(xs))
-        return grid, bounds
+        return rasterize_regionset(self, width, height, bounds)
 
     # -- serialization ---------------------------------------------------
     def payload(self) -> "tuple[dict, dict]":

@@ -59,12 +59,10 @@ class HeatMapResult:
         """RNN set per query point (empty outside all fragments)."""
         return self.region_set.rnn_at_many(points)
 
-    def rasterize(self, width: int, height: int, bounds=None, window=None):
+    def rasterize(self, width: int, height: int, bounds=None):
         """A (height, width) heat grid over ``bounds`` (default: the full
-        extent); returns ``(grid, bounds)`` with raster row 0 = bottom.
-        ``window`` renders only a pixel sub-rect (see
-        ``repro.render.raster``)."""
-        return self.region_set.rasterize(width, height, bounds, window)
+        extent); returns ``(grid, bounds)`` with raster row 0 = bottom."""
+        return self.region_set.rasterize(width, height, bounds)
 
     @property
     def labels(self) -> int:

@@ -12,11 +12,12 @@ post-processing operations: heat at a point, top-k, thresholding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from ..errors import InvalidInputError
-from ..geometry.arcs import Arc
+from ..geometry.arcs import LOWER_ARC, Arc
 from ..geometry.rect import Rect
 from ..geometry.transforms import IDENTITY, Transform
 from ..index.rtree import RTree
@@ -24,161 +25,183 @@ from ..index.rtree import RTree
 __all__ = ["RectFragment", "ArcFragment", "RegionSet"]
 
 
-def _arc_y_many(cx, cy, r, sign, px):
+#: Grid cells per side per ``sqrt(fragment count)`` (so ~1/4 fragment per
+#: cell) and the side's cap, which bounds the index at 1024^2 cells.
+_GRID_PER_SQRT = 2
+_GRID_MAX = 1024
+
+#: Points tested per vectorized step of ``_FragmentTable.locate``: bounds
+#: the lookup's temporaries (~130 bytes a point) for any batch size, in
+#: steps large enough that a 256-px tile takes few numpy calls (each large
+#: call releases the GIL, and re-acquiring it costs a tile rendered beside
+#: busy query threads far more than the arithmetic does).
+_LOCATE_BLOCK = 16384
+
+
+def _arc_y_many(cx, cy, r2, sign, px):
     """Vectorized ``Arc.y_at``: boundary y at each ``px``.
 
-    Rectangle boundaries are encoded as degenerate arcs with ``r == 0`` and
-    ``cy`` set to the constant bound, making one formula serve both
-    fragment kinds.  The arithmetic mirrors ``Arc.y_at`` operation for
-    operation (clamp, ``r*r - dx*dx``, ``max(..., 0)``, ``sqrt``) so batch
-    and scalar answers are bit-identical.
+    Rectangle boundaries are encoded as degenerate arcs with ``r2 == 0``
+    and ``cy`` set to the constant bound, making one formula serve both
+    fragment kinds.  ``r2`` is the squared radius.  ``Arc.y_at`` clamps
+    ``dx`` to ``[-r, r]`` and takes ``sqrt(max(r*r - dx*dx, 0))``;
+    squaring is monotone under rounding, so ``min(dx*dx, r*r)`` is
+    exactly the clamped square and the difference is never negative.
+    Batch and scalar answers are therefore bit-identical.
     """
-    dl = np.clip(px - cx, -r, r)
-    h = np.sqrt(np.maximum(r * r - dl * dl, 0.0))
-    return cy + sign * h
+    h = px - cx
+    np.multiply(h, h, out=h)
+    np.minimum(h, r2, out=h)
+    np.subtract(r2, h, out=h)
+    np.sqrt(h, out=h)
+    h *= sign
+    h += cy
+    return h
 
 
 class _FragmentTable:
-    """Flat NumPy view of a fragment list plus a uniform-grid index.
+    """Flat NumPy columns of a fragment list plus a uniform-grid index.
 
-    Per-fragment arrays hold the x-span, the lower/upper bounding curves
-    (as degenerate-or-real arcs), and the heat.  A uniform grid over the
-    fragments' bounding box stores, per cell, the fragments whose bbox
-    touches it (CSR layout: ``cell_starts``/``cell_counts`` into
-    ``entry_frag``), replacing the per-point R-tree descent with
-    vectorized candidate probing.
+    ``cols`` holds one row per column — x-span, then the lower and upper
+    bounding curves as ``(cx, cy, r*r, sign)`` (degenerate arcs with
+    ``r == 0`` for rectangle fragments) — so one gather fetches every
+    column a candidate test needs.  A uniform grid of
+    ``2 * ceil(sqrt(n))`` cells a side over the fragments' union box
+    stores, per cell, the fragments whose bbox touches it (CSR layout:
+    ``cell_starts``/``cell_counts`` into ``entry_frag``), replacing the
+    per-point R-tree descent with vectorized candidate probing.
     """
 
     __slots__ = (
-        "x_lo", "x_hi", "heat",
-        "lo_cx", "lo_cy", "lo_r", "lo_sign",
-        "up_cx", "up_cy", "up_r", "up_sign",
+        "cols", "heat", "bb_ylo", "bb_yhi", "bounds",
         "grid_n", "gx0", "gy0", "gsx", "gsy",
         "cell_starts", "cell_counts", "entry_frag",
     )
 
     def __init__(self, fragments: list) -> None:
         n = len(fragments)
-        self.x_lo = np.empty(n)
-        self.x_hi = np.empty(n)
-        self.heat = np.empty(n)
-        self.lo_cx = np.zeros(n)
-        self.lo_cy = np.empty(n)
-        self.lo_r = np.zeros(n)
-        self.lo_sign = np.empty(n)
-        self.up_cx = np.zeros(n)
-        self.up_cy = np.empty(n)
-        self.up_r = np.zeros(n)
-        self.up_sign = np.empty(n)
-        bb_ylo = np.empty(n)
-        bb_yhi = np.empty(n)
-        from ..geometry.arcs import LOWER_ARC
+        rows = np.fromiter(
+            chain.from_iterable(map(_table_row, fragments)), float, 11 * n
+        ).reshape(n, 11)
+        self.heat = np.ascontiguousarray(rows[:, 10])
+        # Squared radii: the locate hot loop never needs r itself.
+        rows[:, 4] *= rows[:, 4]
+        rows[:, 8] *= rows[:, 8]
+        self.cols = np.ascontiguousarray(rows[:, :10].T)
+        del rows
+        x_lo, x_hi, lo_cx, lo_cy, lo_r2, lo_s, up_cx, up_cy, up_r2, up_s = self.cols
 
-        for i, f in enumerate(fragments):
-            self.x_lo[i] = f.x_lo
-            self.x_hi[i] = f.x_hi
-            self.heat[i] = f.heat
-            if isinstance(f, RectFragment):
-                self.lo_cy[i] = f.y_lo
-                self.lo_sign[i] = -1.0
-                self.up_cy[i] = f.y_hi
-                self.up_sign[i] = 1.0
-                bb_ylo[i] = f.y_lo
-                bb_yhi[i] = f.y_hi
-            else:
-                lo, up = f.lower, f.upper
-                self.lo_cx[i] = lo.cx
-                self.lo_cy[i] = lo.cy
-                self.lo_r[i] = lo.r
-                self.lo_sign[i] = -1.0 if lo.kind == LOWER_ARC else 1.0
-                self.up_cx[i] = up.cx
-                self.up_cy[i] = up.cy
-                self.up_r[i] = up.r
-                self.up_sign[i] = -1.0 if up.kind == LOWER_ARC else 1.0
-                box = f.bbox
-                bb_ylo[i] = box.y_lo
-                bb_yhi[i] = box.y_hi
+        # Bounding boxes exactly as ``ArcFragment.bbox`` computes them: the
+        # lower curve's minimum (upper curve's maximum) over the slab ends
+        # and the arc's extreme x clamped into the slab.
+        def extreme(pick, cx, cy, r2, s):
+            xm = np.minimum(np.maximum(cx, x_lo), x_hi)
+            ya, yb, ym = (_arc_y_many(cx, cy, r2, s, x) for x in (x_lo, x_hi, xm))
+            return pick(pick(ya, yb), ym)
 
-        # Uniform grid over the union bbox, ~one fragment per cell.
-        g = int(np.ceil(np.sqrt(n))) if n else 1
-        self.grid_n = max(1, min(g, 1024))
-        x0 = float(self.x_lo.min())
-        x1 = float(self.x_hi.max())
-        y0 = float(bb_ylo.min())
-        y1 = float(bb_yhi.max())
+        self.bb_ylo = extreme(np.minimum, lo_cx, lo_cy, lo_r2, lo_s)
+        self.bb_yhi = extreme(np.maximum, up_cx, up_cy, up_r2, up_s)
+        x0, x1 = float(x_lo.min()), float(x_hi.max())
+        y0, y1 = float(self.bb_ylo.min()), float(self.bb_yhi.max())
+        self.bounds = Rect(x0, x1, y0, y1)
+
+        gn = self.grid_n = min(_GRID_PER_SQRT * int(np.ceil(np.sqrt(n))), _GRID_MAX)
         self.gx0 = x0
         self.gy0 = y0
-        self.gsx = self.grid_n / (x1 - x0) if x1 > x0 else 0.0
-        self.gsy = self.grid_n / (y1 - y0) if y1 > y0 else 0.0
-
-        gn = self.grid_n
-        cx0 = np.clip(((self.x_lo - x0) * self.gsx).astype(np.int64), 0, gn - 1)
-        cx1 = np.clip(((self.x_hi - x0) * self.gsx).astype(np.int64), 0, gn - 1)
-        cy0 = np.clip(((bb_ylo - y0) * self.gsy).astype(np.int64), 0, gn - 1)
-        cy1 = np.clip(((bb_yhi - y0) * self.gsy).astype(np.int64), 0, gn - 1)
+        self.gsx = gn / (x1 - x0) if x1 > x0 else 0.0
+        self.gsy = gn / (y1 - y0) if y1 > y0 else 0.0
+        cx0 = self._grid_index(x_lo, x0, self.gsx)
+        cx1 = self._grid_index(x_hi, x0, self.gsx)
+        cy0 = self._grid_index(self.bb_ylo, y0, self.gsy)
+        cy1 = self._grid_index(self.bb_yhi, y0, self.gsy)
         rx = cx1 - cx0 + 1
-        ry = cy1 - cy0 + 1
-        spans = rx * ry
-        total = int(spans.sum())
-        frag_rep = np.repeat(np.arange(n, dtype=np.int64), spans)
-        local = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(spans) - spans, spans
-        )
-        rx_rep = np.repeat(rx, spans)
-        cells = (
-            (np.repeat(cy0, spans) + local // rx_rep) * gn
-            + np.repeat(cx0, spans) + local % rx_rep
-        )
-        order = np.argsort(cells, kind="stable")
-        self.entry_frag = frag_rep[order]
-        self.cell_counts = np.bincount(cells, minlength=gn * gn)
+        spans = rx * (cy1 - cy0 + 1)
+        # One entry per (fragment, cell its box touches): the entry's offset
+        # within its fragment's block of cells locates the cell.
+        frag = np.repeat(np.arange(n, dtype=np.int32), spans)
+        off = np.arange(len(frag), dtype=np.int32)
+        off -= (np.cumsum(spans) - spans).astype(np.int32)[frag]
+        dy, dx = np.divmod(off, rx.astype(np.int32)[frag])
+        del off
+        key = (cy0 * gn + cx0)[frag]
+        key += dy * gn
+        key += dx
+        del dy, dx
+        self.cell_counts = np.bincount(key, minlength=gn * gn).astype(np.int32)
+        # Fragment order within each cell: sort unique (cell, fragment) keys.
+        key *= n
+        key += frag
+        del frag
+        key.sort()
+        self.entry_frag = (key % n).astype(np.int32)
         self.cell_starts = np.concatenate(
             ([0], np.cumsum(self.cell_counts)[:-1])
         )
 
-    def contains(self, fi, px, py, *, closed: bool) -> np.ndarray:
-        """Vectorized fragment-containment test (open or closed)."""
-        y_lo = _arc_y_many(self.lo_cx[fi], self.lo_cy[fi], self.lo_r[fi],
-                           self.lo_sign[fi], px)
-        y_hi = _arc_y_many(self.up_cx[fi], self.up_cy[fi], self.up_r[fi],
-                           self.up_sign[fi], px)
-        if closed:
-            return (
-                (self.x_lo[fi] <= px) & (px <= self.x_hi[fi])
-                & (y_lo <= py) & (py <= y_hi)
-            )
-        return (
-            (self.x_lo[fi] < px) & (px < self.x_hi[fi])
-            & (y_lo < py) & (py < y_hi)
-        )
+    def _grid_index(self, v, v0: float, scale: float) -> np.ndarray:
+        """Grid column (or row) of each coordinate, clamped into the grid."""
+        t = v - v0
+        t *= scale
+        with np.errstate(invalid="ignore"):  # NaN probes land in cell 0
+            i = t.astype(np.int64)
+        return np.clip(i, 0, self.grid_n - 1, out=i)
 
     def locate(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
         """Fragment index containing each point, or -1.
 
-        Mirrors the scalar resolution order: strict (open) containment
-        first — unique, because fragments tile the plane — then a closed
-        fallback so boundary points resolve to one adjacent fragment.
+        Candidates are tried in fragment order.  Strict (open) containment
+        wins — unique, because fragments tile the plane; a point with no
+        strict hit falls back to its first closed hit, so boundary points
+        resolve to one adjacent fragment.  Both tests share one pass: the
+        smallest of the four signed gaps to the fragment's sides is
+        positive inside and zero on the boundary.
         """
-        n = len(px)
-        res = np.full(n, -1, dtype=np.int64)
-        gn = self.grid_n
-        with np.errstate(invalid="ignore"):
-            cx = np.clip(((px - self.gx0) * self.gsx).astype(np.int64), 0, gn - 1)
-            cy = np.clip(((py - self.gy0) * self.gsy).astype(np.int64), 0, gn - 1)
-        cell = cy * gn + cx
+        res = np.full(len(px), -1, dtype=np.int32)
+        edge = np.full(len(px), -1, dtype=np.int32)
+        cell = self._grid_index(py, self.gy0, self.gsy)
+        cell *= self.grid_n
+        cell += self._grid_index(px, self.gx0, self.gsx)
         starts = self.cell_starts[cell]
         counts = self.cell_counts[cell]
-        for closed in (False, True):
-            pend = np.nonzero((res == -1) & (counts > 0))[0]
-            j = 0
-            while pend.size:
-                fi = self.entry_frag[starts[pend] + j]
-                ok = self.contains(fi, px[pend], py[pend], closed=closed)
-                res[pend[ok]] = fi[ok]
-                j += 1
-                pend = pend[~ok]
-                pend = pend[counts[pend] > j]
-        return res
+        del cell
+        pend = np.flatnonzero(counts)
+        j = 0
+        while pend.size:
+            later = []
+            for b in range(0, pend.size, _LOCATE_BLOCK):
+                blk = pend[b:b + _LOCATE_BLOCK]
+                fi = self.entry_frag[starts[blk] + j]
+                x_lo, x_hi, *lo_up = np.take(self.cols, fi, axis=1)
+                x = px[blk]
+                y = py[blk]
+                y_lo = _arc_y_many(*lo_up[:4], x)
+                y_hi = _arc_y_many(*lo_up[4:], x)
+                gap = x - x_lo
+                np.minimum(gap, np.subtract(x_hi, x, out=x_hi), out=gap)
+                np.minimum(gap, np.subtract(y, y_lo, out=y_lo), out=gap)
+                np.minimum(gap, np.subtract(y_hi, y, out=y_hi), out=gap)
+                inside = gap > 0
+                res[blk[inside]] = fi[inside]
+                on_edge = gap == 0
+                if on_edge.any():  # rare: a point on a fragment's boundary
+                    on_edge &= edge[blk] < 0
+                    edge[blk[on_edge]] = fi[on_edge]
+                later.append(blk[~inside & (counts[blk] > j + 1)])
+            pend = later[0] if len(later) == 1 else np.concatenate(later)
+            j += 1
+        return np.where(res >= 0, res, edge)
+
+
+def _table_row(f) -> tuple:
+    """One fragment's ``_FragmentTable`` row (before radii are squared)."""
+    if type(f) is RectFragment:
+        return (f.x_lo, f.x_hi, 0.0, f.y_lo, 0.0, -1.0,
+                0.0, f.y_hi, 0.0, 1.0, f.heat)
+    lo, up = f.lower, f.upper
+    return (f.x_lo, f.x_hi,
+            lo.cx, lo.cy, lo.r, -1.0 if lo.kind == LOWER_ARC else 1.0,
+            up.cx, up.cy, up.r, -1.0 if up.kind == LOWER_ARC else 1.0,
+            f.heat)
 
 
 @dataclass(frozen=True)
@@ -302,13 +325,8 @@ class RegionSet:
 
     def _index(self) -> "RTree | None":
         if self._rtree is None and self.fragments:
-            boxes = [f.bbox for f in self.fragments]
-            self._rtree = RTree(
-                [b.x_lo for b in boxes],
-                [b.x_hi for b in boxes],
-                [b.y_lo for b in boxes],
-                [b.y_hi for b in boxes],
-            )
+            t = self._table()
+            self._rtree = RTree(t.cols[0], t.cols[1], t.bb_ylo, t.bb_yhi)
         return self._rtree
 
     def _table(self) -> "_FragmentTable | None":
@@ -396,13 +414,13 @@ class RegionSet:
         return self.heat_at_many(points)
 
     def bounds(self) -> "Rect | None":
-        """Bounding box of all fragments, in *internal* coordinates."""
-        if not self.fragments:
-            return None
-        b = self.fragments[0].bbox
-        for f in self.fragments[1:]:
-            b = b.union_bounds(f.bbox)
-        return b
+        """Bounding box of all fragments, in *internal* coordinates.
+
+        Read off the fragment table (built here if it is not yet), so the
+        caller asking for a map's extent also pays for its point index.
+        """
+        table = self._table()
+        return None if table is None else table.bounds
 
     # ------------------------------------------------------------------
     # Interactive post-processing (Section I: threshold / top-k support).
@@ -498,17 +516,9 @@ class RegionSet:
         return out
 
     def rasterize(
-        self,
-        width: int,
-        height: int,
-        bounds: "Rect | None" = None,
-        window: "tuple[int, int, int, int] | None" = None,
+        self, width: int, height: int, bounds: "Rect | None" = None
     ) -> "tuple[np.ndarray, Rect]":
-        """Heat raster of the subdivision; see ``repro.render.raster``.
-
-        ``window`` computes only a pixel sub-rect of the full raster,
-        bit-identical to the same slice of a full render.
-        """
+        """Heat at pixel centres; see ``repro.render.raster``."""
         from ..render.raster import rasterize_regionset
 
-        return rasterize_regionset(self, width, height, bounds, window)
+        return rasterize_regionset(self, width, height, bounds)

@@ -1,92 +1,48 @@
-"""Rasterizing a labeled subdivision into a heat grid.
+"""Rasterizing a heat surface into a heat grid.
 
-Fragments are painted directly: rectangle fragments fill pixel blocks; arc
-fragments fill per-column spans evaluated from the bounding arcs.  For L1
-results (internal frame rotated by pi/4) we paint an internal raster and
-resample it through the inverse rotation with vectorized nearest-neighbor
-gathers, so the output is axis-aligned in the original space.
+CREST's output is a region colouring: every point takes the heat of the
+region containing it.  A raster is therefore that lookup at each pixel
+centre — one batched ``heat_at_many`` call, so every pixel equals what a
+point query at its centre answers, for every metric (the L1 rotation
+happens inside the lookup) and for every surface that offers
+``heat_at_many`` (fragment tables and circle-count surfaces alike).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from ..errors import InvalidInputError
 from ..geometry.rect import Rect
 
-__all__ = ["rasterize_regionset"]
+__all__ = ["rasterize_regionset", "world_bounds"]
 
 
-def _paint(
-    region_set,
-    width: int,
-    height: int,
-    bounds: Rect,
-    window: "tuple[int, int, int, int] | None" = None,
-) -> np.ndarray:
-    """Paint fragments onto a (height, width) grid over internal bounds.
+def world_bounds(region_set) -> Rect:
+    """A surface's original-space extent (the default raster window).
 
-    Row 0 is the *bottom* of the bounds (y increases with row index).
-
-    ``window`` — half-open absolute pixel ranges ``(r0, r1, c0, c1)`` —
-    restricts painting to a sub-grid: the returned array has shape
-    ``(r1 - r0, c1 - c0)`` and is bit-identical to the same slice of a
-    full paint.  All pixel arithmetic stays in full-grid coordinates
-    (``sx``/``sy`` from the full dimensions, column samples from absolute
-    indices); only the writes are clipped and offset.
+    For identity-transform results this is the fragment bounding box; for
+    L1 results (internal frame rotated by pi/4) the internal corners are
+    mapped back through the inverse rotation.  Empty results default to
+    the unit square.
     """
-    wr0, wr1, wc0, wc1 = (0, height, 0, width) if window is None else window
-    grid = np.full(
-        (wr1 - wr0, wc1 - wc0), region_set.default_heat, dtype=float
+    internal = region_set.bounds()
+    if internal is None:
+        return Rect(0.0, 1.0, 0.0, 1.0)
+    transform = region_set.transform
+    if transform.is_identity:
+        return internal
+    corners = [
+        transform.inverse(x, y)
+        for x in (internal.x_lo, internal.x_hi)
+        for y in (internal.y_lo, internal.y_hi)
+    ]
+    return Rect(
+        min(c[0] for c in corners),
+        max(c[0] for c in corners),
+        min(c[1] for c in corners),
+        max(c[1] for c in corners),
     )
-    if not region_set.fragments:
-        return grid
-    x_span = bounds.x_hi - bounds.x_lo
-    y_span = bounds.y_hi - bounds.y_lo
-    if x_span <= 0 or y_span <= 0:
-        raise InvalidInputError("raster bounds must have positive extent")
-    sx = width / x_span
-    sy = height / y_span
-
-    # Pixel-center sampling: pixel (r, c) takes a fragment's heat iff its
-    # center lies inside the fragment — fragments tile the plane, so every
-    # pixel is painted by exactly one fragment (boundary hits are measure
-    # zero) and the raster agrees with heat_at at every pixel center.
-    for frag in region_set.fragments:
-        fx0 = (frag.x_lo - bounds.x_lo) * sx
-        fx1 = (frag.x_hi - bounds.x_lo) * sx
-        c0 = max(int(math.ceil(fx0 - 0.5)), wc0)
-        c1 = min(int(math.floor(fx1 - 0.5)), wc1 - 1)
-        if c1 < c0:
-            continue
-        if hasattr(frag, "y_lo"):  # rectangle fragment
-            r0 = max(int(math.ceil((frag.y_lo - bounds.y_lo) * sy - 0.5)), wr0)
-            r1 = min(int(math.floor((frag.y_hi - bounds.y_lo) * sy - 0.5)), wr1 - 1)
-            if r1 >= r0:
-                grid[r0 - wr0 : r1 + 1 - wr0, c0 - wc0 : c1 + 1 - wc0] = frag.heat
-        else:  # arc fragment: evaluate the bounding arcs per pixel column
-            cols = np.arange(c0, c1 + 1)
-            xs = bounds.x_lo + (cols + 0.5) / sx
-            xs = np.clip(xs, frag.x_lo, frag.x_hi)
-            lo = frag.lower
-            hi = frag.upper
-            dl = np.clip(xs - lo.cx, -lo.r, lo.r)
-            y_lo_vals = lo.cy - np.sqrt(np.maximum(lo.r**2 - dl**2, 0.0)) \
-                if lo.kind == 0 else lo.cy + np.sqrt(np.maximum(lo.r**2 - dl**2, 0.0))
-            du = np.clip(xs - hi.cx, -hi.r, hi.r)
-            y_hi_vals = hi.cy - np.sqrt(np.maximum(hi.r**2 - du**2, 0.0)) \
-                if hi.kind == 0 else hi.cy + np.sqrt(np.maximum(hi.r**2 - du**2, 0.0))
-            r0s = np.ceil((y_lo_vals - bounds.y_lo) * sy - 0.5).astype(int)
-            r1s = np.floor((y_hi_vals - bounds.y_lo) * sy - 0.5).astype(int)
-            # Clip so spans fully outside the window stay empty (r1 < r0).
-            np.clip(r0s, wr0, wr1, out=r0s)
-            np.clip(r1s, wr0 - 1, wr1 - 1, out=r1s)
-            for c, r0, r1 in zip(cols.tolist(), r0s.tolist(), r1s.tolist()):
-                if r1 >= r0:
-                    grid[r0 - wr0 : r1 + 1 - wr0, c - wc0] = frag.heat
-    return grid
 
 
 def rasterize_regionset(
@@ -94,77 +50,30 @@ def rasterize_regionset(
     width: int,
     height: int,
     bounds: "Rect | None" = None,
-    window: "tuple[int, int, int, int] | None" = None,
 ) -> "tuple[np.ndarray, Rect]":
     """Rasterize to a (height, width) float grid plus its original-space
     bounds.  Row 0 is the bottom row (flip with [::-1] for image output,
     which ``repro.render.image`` does for you).
 
+    Pixel ``(r, c)`` is the heat at its centre
+    ``(x_lo + (c + 0.5) * (x_hi - x_lo) / width, y_lo + (r + 0.5) *
+    (y_hi - y_lo) / height)``.
+
     Args:
-        bounds: original-space window; defaults to the fragments' extent.
-        window: half-open pixel ranges ``(r0, r1, c0, c1)`` within the
-            full (height, width) raster; when given, only that sub-grid
-            is computed and returned — bit-identical to the same slice of
-            the full raster (the incremental tile re-render path).  The
-            returned bounds still describe the *full* raster.
+        bounds: original-space window; defaults to :func:`world_bounds`.
     """
     if width <= 0 or height <= 0:
         raise InvalidInputError("raster dimensions must be positive")
-    if window is not None:
-        r0, r1, c0, c1 = window
-        if not (0 <= r0 < r1 <= height and 0 <= c0 < c1 <= width):
-            raise InvalidInputError(
-                f"window {window!r} must be non-empty half-open pixel "
-                f"ranges within ({height}, {width})"
-            )
-    transform = region_set.transform
-
-    if transform.is_identity:
-        if bounds is None:
-            bounds = region_set.bounds()
-        if bounds is None:  # no fragments at all
-            bounds = Rect(0.0, 1.0, 0.0, 1.0)
-        return _paint(region_set, width, height, bounds, window), bounds
-
-    # Rotated internal frame (L1): paint internally, then gather through
-    # the forward transform at output pixel centers.
-    internal_bounds = region_set.bounds()
     if bounds is None:
-        if internal_bounds is None:
-            bounds = Rect(0.0, 1.0, 0.0, 1.0)
-        else:
-            # Map internal corners back to original space for a default view.
-            corners = [
-                transform.inverse(x, y)
-                for x in (internal_bounds.x_lo, internal_bounds.x_hi)
-                for y in (internal_bounds.y_lo, internal_bounds.y_hi)
-            ]
-            bounds = Rect(
-                min(c[0] for c in corners),
-                max(c[0] for c in corners),
-                min(c[1] for c in corners),
-                max(c[1] for c in corners),
-            )
-    wr0, wr1, wc0, wc1 = (0, height, 0, width) if window is None else window
-    out_h, out_w = wr1 - wr0, wc1 - wc0
-    if internal_bounds is None:
-        return np.full((out_h, out_w), region_set.default_heat), bounds
-
-    scale = max(width, height) * 2
-    internal = _paint(region_set, scale, scale, internal_bounds)
-
-    # Sample at absolute pixel-center indices, so a windowed gather reads
-    # the very same internal texels as the full raster at those pixels.
-    xs = bounds.x_lo + (np.arange(wc0, wc1) + 0.5) * (bounds.x_hi - bounds.x_lo) / width
-    ys = bounds.y_lo + (np.arange(wr0, wr1) + 0.5) * (bounds.y_hi - bounds.y_lo) / height
-    gx, gy = np.meshgrid(xs, ys)
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    ipts = transform.forward_array(pts)
-    cx = (ipts[:, 0] - internal_bounds.x_lo) / (internal_bounds.x_hi - internal_bounds.x_lo)
-    cy = (ipts[:, 1] - internal_bounds.y_lo) / (internal_bounds.y_hi - internal_bounds.y_lo)
-    cols = np.clip((cx * scale).astype(int), -1, scale)
-    rows = np.clip((cy * scale).astype(int), -1, scale)
-    inside = (cols >= 0) & (cols < scale) & (rows >= 0) & (rows < scale)
-    out = np.full(out_w * out_h, region_set.default_heat)
-    out[inside] = internal[rows[inside], cols[inside]]
-    return out.reshape(out_h, out_w), bounds
+        bounds = world_bounds(region_set)
+    x_span = bounds.x_hi - bounds.x_lo
+    y_span = bounds.y_hi - bounds.y_lo
+    if x_span <= 0 or y_span <= 0:
+        raise InvalidInputError("raster bounds must have positive extent")
+    xs = bounds.x_lo + (np.arange(width) + 0.5) * x_span / width
+    ys = bounds.y_lo + (np.arange(height) + 0.5) * y_span / height
+    centres = np.empty((height, width, 2))
+    centres[:, :, 0] = xs
+    centres[:, :, 1] = ys[:, None]
+    grid = region_set.heat_at_many(centres.reshape(-1, 2))
+    return grid.reshape(height, width), bounds

@@ -71,7 +71,7 @@ from ..core.registry import REGISTRY
 from ..service.fingerprint import fingerprint_build
 from ..service.latency import LatencyRecorder
 from ..service.service import request_fingerprint
-from ..service.tiles import tile_bounds
+from ..service.tiles import check_tile_address, tile_bounds
 from .errors import HTTPError, error_payload, status_for_exception
 from .http import (
     ConnectionBuffer,
@@ -86,6 +86,7 @@ from .wire import (
     decode_dataset,
     decode_points,
     decode_updates,
+    handle_vmax,
     json_response,
     placeholder_tile_etag,
     render_tile_png,
@@ -1094,6 +1095,8 @@ class HeatMapHTTPApp(BaseHTTPApp):
         """
         if not 0 <= z <= _MAX_TILE_ZOOM:
             raise HTTPError(400, f"z must be in [0, {_MAX_TILE_ZOOM}]")
+        # Tiles past the world edge 400 before any refresh or tracking.
+        check_tile_address(z, tx, ty)
         try:
             size = int(request.query.get("size", self.service.service.tile_size))
         except ValueError:
@@ -1114,7 +1117,11 @@ class HeatMapHTTPApp(BaseHTTPApp):
         # ETag carries the *per-tile* generation — a partial invalidation
         # only changes validators of tiles it actually dirtied — while the
         # handle-wide generation stays the race guard for cache admission.
-        await self.service.result(handle)
+        result = await self.service.result(handle)
+        if vmax is None:
+            # One colour scale per handle, so equal heat gets one colour
+            # on both sides of every tile seam.
+            vmax = handle_vmax(result)
         generation = self.service.service.generation(handle)
         tile_gen = self.service.service.tile_generation(handle, z, tx, ty)
         etag = tile_etag(handle, z, tx, ty, size, cmap, vmax, tile_gen)

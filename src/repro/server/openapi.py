@@ -386,6 +386,14 @@ SPEC = {
                         "name": "vmax",
                         "in": "query",
                         "required": False,
+                        "description": (
+                            "Heat at the top of the colour scale; defaults "
+                            "to the map's maximum heat, shared by every tile. "
+                            "For the approximate engines (knn-graph, "
+                            "lsh-rnn) that default is the maximum sampled "
+                            "at circle centres, a lower bound: heat above "
+                            "it takes the top colour."
+                        ),
                         "schema": {"type": "number"},
                     },
                     {

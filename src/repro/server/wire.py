@@ -28,6 +28,7 @@ __all__ = [
     "decode_dataset",
     "decode_updates",
     "tile_etag",
+    "handle_vmax",
     "render_tile_png",
     "TILE_CMAPS",
 ]
@@ -182,21 +183,38 @@ def decode_updates(payload) -> "list[tuple[str, dict]]":
 
 def tile_etag(
     handle: str, z: int, tx: int, ty: int, size: int, cmap: str,
-    vmax: "float | None", generation: int,
+    vmax: float, generation: int,
 ) -> str:
     """The strong ETag for a tile at one generation of that tile.
 
     Strong ETags name byte-identical representations, so every input
-    that changes the rendered pixels participates — including ``vmax``
-    (``a`` = auto-normalized).  ``generation`` is the *per-tile*
+    that changes the rendered pixels participates — including the
+    resolved ``vmax`` (the handle's :func:`handle_vmax` when the request
+    names none).  ``generation`` is the *per-tile*
     generation (:meth:`HeatMapService.tile_generation`): a partial
     invalidation raises it only for tiles intersecting the update's
     dirty rects, so revalidation is precise — ``If-None-Match`` hits
     (304) until an update actually touches this tile's pixels, and
     misses the moment one does.
     """
-    vtag = "a" if vmax is None else repr(float(vmax))
-    return f'"{handle[:16]}.{z}.{tx}.{ty}.{size}.{cmap}.v{vtag}.g{generation}"'
+    return (
+        f'"{handle[:16]}.{z}.{tx}.{ty}.{size}.{cmap}'
+        f'.v{float(vmax)!r}.g{generation}"'
+    )
+
+
+def handle_vmax(result) -> float:
+    """The default colour-scale top of a handle: its maximum heat.
+
+    Every tile of the handle is scaled by the same value, so a colour
+    means the same heat in every tile.  An empty map (no labeled region,
+    maximum ``-inf``) scales to 0, which renders everything cold.  For
+    the approximate engines (``knn-graph``, ``lsh-rnn``) ``max_heat`` is
+    sampled at circle centres, a lower bound on the surface's maximum:
+    the few pixels above it take the top colour.
+    """
+    top = float(result.stats.max_heat)
+    return top if math.isfinite(top) else 0.0
 
 
 def placeholder_tile_etag(etag: str, source_z: int) -> str:

@@ -31,22 +31,18 @@ requests across executor threads:
   are dropped; a render that raced an invalidation sees the bump and
   declines to cache its (now possibly stale) grid.
 
-Two tail-latency mechanisms ride on partial invalidation.  Dirty tiles
-are not discarded but *displaced* into a stale store, and their next
-fetch re-rasterizes only the dirty pixel windows over the retained grid
-(bit-identical to a full render).  And a cold tile whose coarser-zoom
-ancestor is cached can be answered instantly with a cropped+upsampled
-*placeholder* (:meth:`HeatMapService.placeholder_tile`) while the real
-render proceeds.  ETags live on a finer axis than the race-guard
-generation: :meth:`HeatMapService.tile_generation` bumps only for tiles
-a partial invalidation actually dirtied, so clean tiles keep revalidating
-304 across localized updates.
+A cold tile whose coarser-zoom ancestor is cached can be answered
+instantly with a cropped+upsampled *placeholder*
+(:meth:`HeatMapService.placeholder_tile`) while the real render proceeds.
+ETags live on a finer axis than the race-guard generation:
+:meth:`HeatMapService.tile_generation` bumps only for tiles a partial
+invalidation actually dirtied, so clean tiles keep revalidating 304
+across localized updates.
 """
 
 from __future__ import annotations
 
 import contextlib
-import math
 import threading
 from dataclasses import dataclass, field, fields
 
@@ -62,20 +58,14 @@ from .cache import LRUCache
 from .fingerprint import fingerprint_build
 from .flight import KeyedMutex
 from .store import ResultStore
-from .tiles import tile_bounds, tiles_in_window, world_bounds
+from .tiles import check_tile_address, tile_bounds, tiles_in_window, world_bounds
 
 __all__ = ["HeatMapService", "ServiceStats", "request_fingerprint"]
 
-#: Cap on retained partial-invalidation events per handle.  Beyond it the
-#: two oldest events merge into one bounding box, so per-tile generation
-#: answers stay O(cap) while remaining conservative (a merged box can only
-#: re-dirty tiles one of the merged events already dirtied).
-_MAX_PARTIAL_EVENTS = 64
-
-#: Cap on accumulated dirty rects per stashed stale tile.  A tile dirtied
-#: by more events than this re-renders from scratch instead — past that
-#: fragmentation the dirty windows cover most of the tile anyway.
-_MAX_STALE_RECTS = 16
+#: Tracked per-tile generations per tile-cache slot.  Tracking costs a
+#: few bytes per address, and an address that falls out of the LRU only
+#: costs its holder one full re-fetch on the next update.
+_TILE_GENS_PER_SLOT = 4
 
 #: Engines producing the same subdivision as the serial 'crest' sweep share
 #: cache keys (and disk-store entries) with it — the fingerprint carries
@@ -171,9 +161,8 @@ class ServiceStats:
     #: tiles those partial drops discarded in total.
     partial_invalidations: int = 0
     tiles_dropped_partial: int = 0
-    #: Dirty tiles brought current by re-rasterizing only their dirty
-    #: pixel windows over the retained stale grid (a subset of
-    #: ``tile_renders``), instead of a from-scratch tile render.
+    #: Retired (dirty tiles now re-render from scratch); always 0, kept
+    #: so ``/stats`` consumers find the key.
     tile_rerenders_partial: int = 0
     #: Cold tiles answered instantly by cropping+upsampling a cached
     #: coarser-zoom ancestor while the real render proceeds elsewhere.
@@ -273,11 +262,6 @@ class HeatMapService:
     ) -> None:
         self._results = LRUCache(max_results)
         self._tiles = LRUCache(max_tiles)
-        #: Dirty tiles displaced by a partial invalidation, keyed like
-        #: ``_tiles``, holding ``(grid, bounds, dirty rects)`` — the raw
-        #: material for incremental re-render: only the dirty pixel
-        #: windows re-rasterize; the rest of the grid is reused as is.
-        self._stale_tiles = LRUCache(max_tiles)
         self.tile_size = int(tile_size)
         self.store = ResultStore(store_dir) if store_dir is not None else None
         self.shared_store = bool(shared_store) and self.store is not None
@@ -292,13 +276,11 @@ class HeatMapService:
         #: and never deleted, so a render that started before an
         #: invalidation can always detect it raced one.
         self._gens: "dict[str, int]" = {}
-        #: handle -> generation as of its last *full* drop.  Tiles start
-        #: from this base; partial invalidations raise it only for tiles
-        #: intersecting their dirty rects (see :meth:`tile_generation`).
-        self._base_gens: "dict[str, int]" = {}
-        #: handle -> [(generation, dirty rects)] for partial invalidations
-        #: since the last full drop, oldest first.
-        self._partial_log: "dict[str, list]" = {}
+        #: (handle, z, tx, ty) -> generation of that tile address, for
+        #: addresses whose generation was asked for (ETags issued).  A
+        #: partial invalidation raises exactly the tracked addresses its
+        #: dirty rects touch; a full drop forgets the handle's entries.
+        self._tile_gens = LRUCache(_TILE_GENS_PER_SLOT * max_tiles)
         self.on_build = None
         self.on_tile_render = None
         #: Observability hook ``on_tiles_dropped(handle, rects, world)``,
@@ -550,11 +532,8 @@ class HeatMapService:
                     # update's dirty region are stale; the rest still
                     # rasterize to identical pixels and stay cached —
                     # and keep their per-tile generation (their ETags
-                    # survive the update).  Dirty tiles move into the
-                    # stale store so their next fetch re-rasterizes only
-                    # the dirty pixel windows.
-                    self._record_partial(handle, rects)
-                    dropped = self._stash_dirty_tiles(
+                    # survive the update).
+                    dropped = self._drop_dirty_tiles(
                         handle, entry.world, rects
                     )
                     self.stats.inc("partial_invalidations")
@@ -588,93 +567,50 @@ class HeatMapService:
         the generation only of tiles intersecting its dirty rects, so
         clean tiles keep revalidating 304 across updates.  Full drops
         (world change, unbounded update, re-attach) raise every tile.
+
+        Asking tracks the address.  An untracked address — never asked
+        for, or fallen out of the bounded tracker — reads the handle's
+        current generation, which can only cost a client a re-fetch of
+        unchanged bytes, never a stale 304.  An address outside the
+        level's ``2**z x 2**z`` grid raises :class:`InvalidInputError`
+        and is not tracked: every tracked address must map to tile
+        bounds when an invalidation tests it.
         """
+        check_tile_address(z, tx, ty)
+        key = (handle, z, tx, ty)
         with self._lock:
-            base = self._base_gens.get(handle, 0)
-            events = self._partial_log.get(handle)
-            if not events:
-                return base
-            entry = self._results.peek(handle)
-            if entry is None:
-                # No world to intersect against: be conservative and
-                # treat every tile as touched by every event.
-                return self._gens.get(handle, 0)
-            bounds = tile_bounds(entry.world, z, tx, ty)
-            gen = base
-            for event_gen, rects in events:
-                if event_gen > gen and any(bounds.intersects(r) for r in rects):
-                    gen = event_gen
+            gen = self._tile_gens.get(key)
+            if gen is None:
+                gen = self._gens.get(handle, 0)
+                self._tile_gens.put(key, gen)
             return gen
 
-    def _record_partial(self, handle: str, rects) -> None:
+    def _drop_dirty_tiles(self, handle: str, world: Rect, rects) -> int:
+        """Partial drop: bump the handle's generation, raise the tracked
+        generations of addresses intersecting ``rects``, and drop their
+        cached tiles.  Returns how many cached tiles were dropped."""
+
+        def dirty(key) -> bool:
+            bounds = tile_bounds(world, key[1], key[2], key[3])
+            return any(bounds.intersects(r) for r in rects)
+
         # Generation first (as in _drop_tiles): an in-flight render that
         # started before the bump refuses to cache a stale grid.
         with self._lock:
             gen = self._gens.get(handle, 0) + 1
             self._gens[handle] = gen
-            log = self._partial_log.setdefault(handle, [])
-            log.append((gen, tuple(rects)))
-            if len(log) > _MAX_PARTIAL_EVENTS:
-                # Merge the two oldest events: the younger generation over
-                # their union bounding box.  Only tiles one of the merged
-                # events already dirtied can see a (repeat) bump.
-                (g0, r0), (g1, r1) = log[0], log[1]
-                box = r0[0]
-                for r in (*r0[1:], *r1):
-                    box = box.union_bounds(r)
-                log[:2] = [(max(g0, g1), (box,))]
-
-    def _stash_dirty_tiles(self, handle: str, world: Rect, rects) -> int:
-        """Displace tiles intersecting ``rects`` into the stale store.
-
-        Returns how many live tiles were displaced.  Each stashed entry
-        keeps the stale grid plus the dirty rects that hit it; a tile
-        already stashed by an earlier event accumulates the new rects
-        (and is dropped outright past ``_MAX_STALE_RECTS`` — re-render
-        from scratch beats chasing a shredded tile).
-        """
-        dropped = 0
-        stashed = set()
-        for key in self._tiles.keys():
-            if key[0] != handle:
-                continue
-            bounds = tile_bounds(world, key[1], key[2], key[3])
-            hits = tuple(r for r in rects if bounds.intersects(r))
-            if not hits:
-                continue
-            cached = self._tiles.pop(key)
-            if cached is None:
-                continue
-            dropped += 1
-            stashed.add(key)
-            grid, tile_rect = cached
-            self._stale_tiles.put(key, (grid, tile_rect, hits))
-        for key in self._stale_tiles.keys():
-            if key[0] != handle or key in stashed:
-                continue
-            bounds = tile_bounds(world, key[1], key[2], key[3])
-            hits = tuple(r for r in rects if bounds.intersects(r))
-            if not hits:
-                continue
-            stale = self._stale_tiles.pop(key)
-            if stale is None:
-                continue
-            grid, tile_rect, old_hits = stale
-            merged = (*old_hits, *hits)
-            if len(merged) <= _MAX_STALE_RECTS:
-                self._stale_tiles.put(key, (grid, tile_rect, merged))
-        return dropped
+            for key in self._tile_gens.keys():
+                if key[0] == handle and dirty(key):
+                    self._tile_gens.put(key, gen)
+        return self._tiles.purge(lambda key: key[0] == handle and dirty(key))
 
     def _drop_tiles(self, handle: str) -> None:
         # Generation first: an in-flight render that started before the
         # bump will refuse to cache into the freshly purged space.
         with self._lock:
-            gen = self._gens.get(handle, 0) + 1
-            self._gens[handle] = gen
-            self._base_gens[handle] = gen
-            self._partial_log.pop(handle, None)
+            self._gens[handle] = self._gens.get(handle, 0) + 1
+            self._tile_gens.purge(lambda key: key[0] == handle)
         self._tiles.purge(lambda key: key[0] == handle)
-        self._stale_tiles.purge(lambda key: key[0] == handle)
         if self.on_tiles_dropped is not None:
             self.on_tiles_dropped(handle, None, None)
 
@@ -790,57 +726,11 @@ class HeatMapService:
             if self.on_tile_render is not None:
                 self.on_tile_render(key)
             bounds = tile_bounds(entry.world, z, tx, ty)
-            # A tile displaced by a partial invalidation re-renders
-            # incrementally: reuse the stale grid and re-rasterize only
-            # its dirty pixel windows — bit-identical to a full render.
-            stale = self._stale_tiles.pop(key)
-            grid = None
-            if stale is not None:
-                grid = self._rerender_stale(entry, bounds, size, stale)
-            if grid is not None:
-                self.stats.inc("tile_rerenders_partial")
-            else:
-                grid, bounds = entry.result.rasterize(size, size, bounds)
+            grid, bounds = entry.result.rasterize(size, size, bounds)
             self.stats.inc("tile_renders")
             if self.generation(handle) == generation:
                 self._tiles.put(key, (grid, bounds))
             return grid, bounds
-
-    def _rerender_stale(self, entry, bounds, size, stale):
-        """The incremental tile render, or None to fall back to a full one.
-
-        Re-rasterizes each dirty rect's (conservatively rounded) pixel
-        window over a copy of the stale grid.  Pixels outside every dirty
-        rect rasterize to identical values by the partial-invalidation
-        contract, and the windowed rasterizer is bit-identical to the
-        full one, so the patched grid equals a from-scratch render.
-        """
-        grid, tile_rect, rects = stale
-        if tile_rect != bounds:
-            return None  # the world moved under the stash
-        if not entry.result.region_set.transform.is_identity:
-            # Rotated (L1) rendering is dominated by the internal-frame
-            # paint, which a pixel window cannot shrink: no savings.
-            return None
-        x_span = bounds.x_hi - bounds.x_lo
-        y_span = bounds.y_hi - bounds.y_lo
-        if x_span <= 0 or y_span <= 0:
-            return None
-        # Never patch in place: the stale array may still be aliased by
-        # callers that fetched the tile before the invalidation.
-        out = grid.copy()
-        for r in rects:
-            c0 = max(int(math.floor((r.x_lo - bounds.x_lo) / x_span * size)), 0)
-            c1 = min(int(math.ceil((r.x_hi - bounds.x_lo) / x_span * size)), size)
-            r0 = max(int(math.floor((r.y_lo - bounds.y_lo) / y_span * size)), 0)
-            r1 = min(int(math.ceil((r.y_hi - bounds.y_lo) / y_span * size)), size)
-            if c1 <= c0 or r1 <= r0:
-                continue
-            sub, _ = entry.result.rasterize(
-                size, size, bounds, window=(r0, r1, c0, c1)
-            )
-            out[r0:r1, c0:c1] = sub
-        return out
 
     def placeholder_tile(
         self,
@@ -858,8 +748,7 @@ class HeatMapService:
         cached ancestor and upsample it (nearest-neighbor at pixel
         centers) to full tile size — no rasterization, just an indexed
         gather.  Returns ``(grid, bounds, source_z)`` or ``None`` when
-        the real tile is already cached (serve that), a displaced stale
-        grid awaits a cheap incremental re-render, or no ancestor is
+        the real tile is already cached (serve that) or no ancestor is
         cached.  Never renders and never touches the tile cache's LRU
         order, so it is safe to call opportunistically on the hot path.
         """
@@ -867,8 +756,6 @@ class HeatMapService:
         entry = self._entry(handle)
         key = (handle, z, tx, ty, size)
         if self._tiles.peek(key) is not None:
-            return None
-        if self._stale_tiles.peek(key) is not None:
             return None
         bounds = tile_bounds(entry.world, z, tx, ty)
         for dz in range(1, z + 1):

@@ -14,39 +14,13 @@ import math
 
 from ..errors import InvalidInputError
 from ..geometry.rect import Rect
+from ..render.raster import world_bounds
 
-__all__ = ["tile_bounds", "world_bounds", "tiles_in_window"]
-
-
-def world_bounds(region_set) -> Rect:
-    """A result's original-space extent (the level-0 tile).
-
-    For identity-transform results this is the fragment bounding box; for
-    L1 results (internal frame rotated by pi/4) the internal corners are
-    mapped back through the inverse rotation.  Empty results default to
-    the unit square.
-    """
-    internal = region_set.bounds()
-    if internal is None:
-        return Rect(0.0, 1.0, 0.0, 1.0)
-    transform = region_set.transform
-    if transform.is_identity:
-        return internal
-    corners = [
-        transform.inverse(x, y)
-        for x in (internal.x_lo, internal.x_hi)
-        for y in (internal.y_lo, internal.y_hi)
-    ]
-    return Rect(
-        min(c[0] for c in corners),
-        max(c[0] for c in corners),
-        min(c[1] for c in corners),
-        max(c[1] for c in corners),
-    )
+__all__ = ["check_tile_address", "tile_bounds", "world_bounds", "tiles_in_window"]
 
 
-def tile_bounds(world: Rect, z: int, tx: int, ty: int) -> Rect:
-    """The original-space rectangle of tile ``(z, tx, ty)``."""
+def check_tile_address(z: int, tx: int, ty: int) -> None:
+    """Raise :class:`InvalidInputError` unless ``(z, tx, ty)`` names a tile."""
     if z < 0:
         raise InvalidInputError("zoom level must be >= 0")
     n = 1 << z
@@ -54,6 +28,12 @@ def tile_bounds(world: Rect, z: int, tx: int, ty: int) -> Rect:
         raise InvalidInputError(
             f"tile ({tx}, {ty}) outside level-{z} range [0, {n})"
         )
+
+
+def tile_bounds(world: Rect, z: int, tx: int, ty: int) -> Rect:
+    """The original-space rectangle of tile ``(z, tx, ty)``."""
+    check_tile_address(z, tx, ty)
+    n = 1 << z
     wx = (world.x_hi - world.x_lo) / n
     wy = (world.y_hi - world.y_lo) / n
     # Outermost tiles snap to the exact world edges so the level-0 tile is

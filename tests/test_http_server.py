@@ -32,7 +32,12 @@ from repro.render.png import decode_png, encode_png
 from repro.errors import InvalidInputError
 from repro.server import HTTPError, Router, ThreadedHTTPServer
 from repro.server.openapi import SPEC, validate
-from repro.server.wire import decode_points, decode_updates, render_tile_png
+from repro.server.wire import (
+    decode_points,
+    decode_updates,
+    handle_vmax,
+    render_tile_png,
+)
 from repro.service import HeatMapService
 
 N_CLIENTS, N_FACILITIES, SEED = 90, 14, 7
@@ -186,7 +191,8 @@ def test_tile_bytes_are_stable_and_match_sync_render(server, handle):
     sync_handle = sync.build(clients, facilities, metric="l2")
     assert sync_handle == handle, "fingerprint must be input-addressed"
     grid, _bounds = sync.tile(sync_handle, 1, 0, 1)
-    assert render_tile_png(grid, "heat", None) == png1
+    vmax = handle_vmax(sync.result(sync_handle))
+    assert render_tile_png(grid, "heat", vmax) == png1
     # And the decoded image equals the colormapped grid.
     image = decode_png(png1)
     assert image.shape == (TILE_SIZE, TILE_SIZE, 3)
@@ -213,6 +219,29 @@ def test_vmax_participates_in_etag(server, handle):
         headers={"If-None-Match": h10["ETag"]},
     )
     assert status == 200 and body == png20
+
+
+def test_default_colour_scale_is_per_handle(server, handle):
+    """Without ``vmax`` every tile is scaled by the handle's maximum heat,
+    so a region straddling a tile seam gets one colour on both sides —
+    even where the two tiles' own maxima differ."""
+    clients, facilities = _instance()
+    sync = HeatMapService(tile_size=TILE_SIZE)
+    h = sync.build(clients, facilities, metric="l2")
+    left, _ = sync.tile(h, 2, 0, 1)
+    right, _ = sync.tile(h, 2, 1, 1)
+    assert left.max() != right.max(), "per-tile scaling would differ here"
+    # Rows whose pixel pair across the seam carries the same nonzero heat.
+    rows = (left[:, -1] == right[:, 0]) & (left[:, -1] > 0)
+    assert rows.any()
+    # PNGs are top-down; flip back to raster rows (row 0 = bottom).
+    base = f"{server.url}/tiles/{handle}/2"
+    _s, png_l, h_l = _get(f"{base}/0/1.png?placeholder=0")
+    _s, png_r, _ = _get(f"{base}/1/1.png?placeholder=0")
+    img_l, img_r = decode_png(png_l)[::-1], decode_png(png_r)[::-1]
+    np.testing.assert_array_equal(img_l[rows, -1], img_r[rows, 0])
+    # The resolved scale names the bytes: it is the one in the ETag.
+    assert f".v{handle_vmax(sync.result(h))!r}." in h_l["ETag"]
 
 
 def test_json_responses_validate_against_openapi(server, handle):
@@ -416,6 +445,14 @@ def test_partial_update_preserves_clean_tile_etags(server):
             _s, _png, headers = _get(
                 f"{server.url}/tiles/{handle}/2/{tx}/{ty}.png")
             etags[(tx, ty)] = headers["ETag"]
+    # A viewer panning past the world edge asks for tiles that do not
+    # exist: each is a 400 and must leave the next invalidation intact.
+    for tx, ty in ((99, 99), (-1, 0), (0, 4)):
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            _get(f"{server.url}/tiles/{handle}/2/{tx}/{ty}.png")
+        assert exc.value.code == 400
+    _s, body, _ = _get(server.url + "/stats")
+    renders_before = json.loads(body)["service"]["tile_renders"]
     # Nudge one interior client: the world bbox is unchanged, so the
     # invalidation is partial and stays far from the corners.
     _post(server.url + f"/update/{handle}", {"updates": [
@@ -424,9 +461,10 @@ def test_partial_update_preserves_clean_tile_etags(server):
     statuses = {}
     for (tx, ty), etag in etags.items():
         try:
-            status, _b, _h = _get(
+            status, _b, headers = _get(
                 f"{server.url}/tiles/{handle}/2/{tx}/{ty}.png",
                 headers={"If-None-Match": etag})
+            assert status == 304 or headers["ETag"] != etag
         except urllib.error.HTTPError as exc:
             status = exc.code
         statuses[(tx, ty)] = status
@@ -437,10 +475,12 @@ def test_partial_update_preserves_clean_tile_etags(server):
     for corner in ((0, 0), (3, 3), (0, 3), (3, 0)):
         assert statuses[corner] == 304, f"corner {corner} must stay clean"
     # The encoded-PNG cache was purged in lockstep with the tile drop —
-    # the dirty tiles' stale bytes can never be served again.
+    # the dirty tiles' stale bytes can never be served again — and each
+    # re-fetched dirty tile rendered afresh.
     _s, body, _ = _get(server.url + "/stats")
-    tiles_block = json.loads(body)["tiles"]
-    assert tiles_block["png_purged"] >= n200
+    stats = json.loads(body)
+    assert stats["tiles"]["png_purged"] >= n200
+    assert stats["service"]["tile_renders"] == renders_before + n200
 
 
 def test_progressive_placeholder_tile_serving():

@@ -321,10 +321,39 @@ class TestPartialInvalidation:
             service.tile_generation(h, 2, *a) == gen for a in addresses
         )
 
+    def test_invalid_tile_address_is_never_tracked(self):
+        """An out-of-range address is rejected before it is tracked, so
+        the next partial invalidation still raises and drops exactly the
+        dirty tiles."""
+        clients, facilities = _grid_world()
+        dyn = DynamicHeatMap(clients, facilities, metric="linf")
+        service = HeatMapService(max_tiles=128, tile_size=16)
+        h = service.attach_dynamic(dyn, name="fleet")
+        world = service.world(h)
+        service.viewport(h, 2, world)
+        addresses = [(tx, ty) for tx in range(4) for ty in range(4)]
+        before = {a: service.tile_generation(h, 2, *a) for a in addresses}
+        for bad in ((2, 99, 99), (2, -1, 0), (2, 0, 4), (-1, 0, 0)):
+            with pytest.raises(InvalidInputError):
+                service.tile_generation(h, *bad)
+
+        x, y = dyn.assignment._clients[14]
+        dyn.move_client(14, x + 0.01, y + 0.01)
+        service.result(h)
+        assert service.stats.partial_invalidations == 1
+        dropped = service.stats.tiles_dropped_partial
+        changed = [
+            a for a in addresses
+            if service.tile_generation(h, 2, *a) != before[a]
+        ]
+        assert 1 <= len(changed) == dropped < 16
+        service.viewport(h, 2, world)
+        assert service.stats.tile_renders == 16 + dropped
+
     def test_incremental_rerender_matches_scratch(self):
-        """Dirty tiles are displaced, not dropped: the next fetch patches
-        only the dirty pixel windows over the stale grid, and the result
-        is byte-identical to a from-scratch render."""
+        """Dirty tiles are dropped, and their next fetch renders from
+        scratch: the re-fetched tiles equal a full render of the updated
+        map, and each dropped tile costs exactly one render."""
         clients, facilities = _grid_world()
         dyn = DynamicHeatMap(clients, facilities, metric="linf")
         service = HeatMapService(max_tiles=128, tile_size=16)
@@ -339,10 +368,8 @@ class TestPartialInvalidation:
         assert dropped >= 1
 
         service.viewport(h, 2, world)  # re-fetch everything
-        # Every displaced tile came back through the windowed re-render,
-        # and each still counts as a render (it did rasterize pixels).
-        assert service.stats.tile_rerenders_partial == dropped
         assert service.stats.tile_renders == 16 + dropped
+        assert service.stats.tile_rerenders_partial == 0  # retired counter
 
         from repro.service.tiles import tile_bounds
 
@@ -353,9 +380,9 @@ class TestPartialInvalidation:
                 np.testing.assert_array_equal(grid, expected)
                 assert bounds == tile_bounds(world, 2, tx, ty)
 
-    def test_stale_entry_consumed_once(self):
-        """The stale stand-in is popped on first fetch; a second fetch is
-        a plain cache hit on the patched grid."""
+    def test_refetched_dirty_tile_is_cached(self):
+        """A dirty tile renders once on its next fetch; a second fetch is
+        a plain cache hit."""
         clients, facilities = _grid_world()
         dyn = DynamicHeatMap(clients, facilities, metric="linf")
         service = HeatMapService(max_tiles=128, tile_size=16)
@@ -366,11 +393,48 @@ class TestPartialInvalidation:
         dyn.move_client(14, x + 0.01, y + 0.01)
         service.result(h)
         service.viewport(h, 2, world)
-        rerenders = service.stats.tile_rerenders_partial
         renders = service.stats.tile_renders
+        hits = service.stats.tile_cache_hits
         service.viewport(h, 2, world)
-        assert service.stats.tile_rerenders_partial == rerenders
         assert service.stats.tile_renders == renders
+        assert service.stats.tile_cache_hits == hits + 16
+
+    def test_generations_exact_over_many_partial_updates(self):
+        """Per-tile generations stay exact however many localized updates
+        land: after each one, exactly the tiles its dirty rects touch
+        change generation, including far past any event-log horizon."""
+        from repro.service.tiles import tile_bounds
+
+        clients, facilities = _grid_world()
+        dyn = DynamicHeatMap(clients, facilities, metric="linf")
+        service = HeatMapService(max_tiles=128, tile_size=16)
+        h = service.attach_dynamic(dyn, name="fleet")
+        world = service.world(h)
+        addresses = [(tx, ty) for tx in range(4) for ty in range(4)]
+        gens = {a: service.tile_generation(h, 2, *a) for a in addresses}
+        # Two interior clients in opposite quadrants take turns moving,
+        # so the union of two consecutive events' boxes spans tiles that
+        # neither event touches.
+        homes = {c: tuple(dyn.assignment._clients[c]) for c in (7, 28)}
+        for i in range(100):
+            c = (7, 28)[i % 2]
+            x, y = homes[c]
+            step = 0.01 if (i // 2) % 2 == 0 else 0.0
+            v0 = dyn.version
+            dyn.move_client(c, x + step, y + step)
+            service.result(h)
+            rects = dyn.dirty_rects_since(v0)
+            assert rects, "every move must report its dirty region"
+            dirty = {
+                a for a in addresses
+                if any(tile_bounds(world, 2, *a).intersects(r) for r in rects)
+            }
+            now = {a: service.tile_generation(h, 2, *a) for a in addresses}
+            changed = {a for a in addresses if now[a] != gens[a]}
+            assert changed == dirty, f"update {i + 1}"
+            assert 1 <= len(dirty) < 16
+            gens = now
+        assert service.stats.partial_invalidations == 100
 
     def test_noop_update_drops_nothing(self):
         clients, facilities = _grid_world()

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro import RNNHeatMap
+from repro.core.registry import REGISTRY
 from repro.geometry.rect import Rect
 from repro.render.ascii_art import ascii_heat_map
 from repro.render.colormap import apply_colormap, grayscale_dark, heat_colors, normalize
 from repro.render.image import read_pgm, read_ppm, write_pgm, write_ppm
+from repro.service import HeatMapService
 
 
 class TestRasterAgainstPointQueries:
@@ -21,19 +23,12 @@ class TestRasterAgainstPointQueries:
         W = H = 48
         grid, got_bounds = result.rasterize(W, H, bounds)
         assert got_bounds == bounds
-        mismatches = 0
-        checks = 0
         for _ in range(250):
             c = int(rng.integers(0, W))
             r = int(rng.integers(0, H))
             x = bounds.x_lo + (c + 0.5) * bounds.width / W
             y = bounds.y_lo + (r + 0.5) * bounds.height / H
-            checks += 1
-            if grid[r, c] != result.heat_at(x, y):
-                mismatches += 1
-        # Pixels straddling region boundaries may land either side; allow a
-        # small fraction, zero would require infinite resolution.
-        assert mismatches / checks < 0.12
+            assert grid[r, c] == result.heat_at(x, y)
 
     def test_default_bounds_cover_fragments(self, rng):
         O = rng.random((20, 2))
@@ -51,6 +46,43 @@ class TestRasterAgainstPointQueries:
 
         with pytest.raises(InvalidInputError):
             result.rasterize(0, 10)
+
+
+def _engine_metrics():
+    """Every registered engine with every request metric it serves."""
+    pairs = []
+    for spec in REGISTRY:
+        metrics = set(spec.builder_metrics)
+        if "linf" in spec.runners:
+            metrics |= {"linf", "l1"}  # L1 runs rotated under the L-inf sweep
+        if "l2" in spec.runners:
+            metrics.add("l2")
+        pairs += [(spec.name, m) for m in sorted(metrics)]
+    return pairs
+
+
+class TestTilePixelsEqualPointQueries:
+    """The raster contract end to end: every pixel of a served tile is
+    the heat a point query answers at that pixel's centre."""
+
+    SIZE = 32
+
+    @pytest.mark.parametrize("engine,metric", _engine_metrics())
+    def test_tile_pixel_is_heat_at_pixel_centre(self, engine, metric):
+        rng = np.random.default_rng(7)
+        service = HeatMapService(tile_size=self.SIZE)
+        h = service.build(rng.random((40, 2)), rng.random((8, 2)),
+                          metric=metric, algorithm=engine)
+        n = self.SIZE
+        for z, tx, ty in ((0, 0, 0), (4, 7, 8)):
+            grid, b = service.tile(h, z, tx, ty)
+            xs = b.x_lo + (np.arange(n) + 0.5) * (b.x_hi - b.x_lo) / n
+            ys = b.y_lo + (np.arange(n) + 0.5) * (b.y_hi - b.y_lo) / n
+            gx, gy = np.meshgrid(xs, ys)
+            centres = np.column_stack([gx.ravel(), gy.ravel()])
+            heats = service.heat_at_many(h, centres).reshape(n, n)
+            np.testing.assert_array_equal(grid, heats)
+            assert grid.max() > grid.min(), "tile shows no structure"
 
 
 class TestColormaps:
