@@ -50,7 +50,7 @@ ENGINES = {
 
 
 def _recall(result, clients, facilities, exact_d) -> float:
-    ids = result.region_set.knn_indices
+    ids = result.region_set.meta["knn_indices"]
     diff = facilities[ids] - clients[:, None, :]
     dists = np.sort(np.sqrt((diff * diff).sum(axis=2)), axis=1)
     kth = exact_d[:, -1][:, None]
@@ -58,10 +58,13 @@ def _recall(result, clients, facilities, exact_d) -> float:
 
 
 def _heat_rmse(result, exact_radii, clients, metric="l2", size=64) -> float:
-    """RMSE vs the exact NN-circle surface on a shared raster."""
-    from repro.approx.surface import ApproxHeatSurface
+    """RMSE vs the exact NN-circle surface on a shared raster (2-d)."""
+    from repro.core.surface import NNCircleSurface
+    from repro.geometry.circle import NNCircleSet
 
-    exact = ApproxHeatSurface(clients, exact_radii, metric_name=metric)
+    exact = NNCircleSurface(
+        NNCircleSet(clients[:, 0], clients[:, 1], exact_radii, metric)
+    )
     bounds = exact.bounds()
     eg, _ = exact.rasterize(size, size, bounds)
     ag, _ = result.region_set.rasterize(size, size, bounds)

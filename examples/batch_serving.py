@@ -26,8 +26,8 @@ def main() -> None:
     service = HeatMapService(max_results=4, max_tiles=256, tile_size=64)
     handle = service.build(customers, shops, metric="linf")
     result = service.result(handle)
-    print(f"built {len(result.region_set)} fragments "
-          f"(handle {handle[:12]}...)")
+    print(f"built a surface of {len(result.region_set)} NN-circles "
+          f"(handle {handle[:12]}...); the arrangement is swept on demand")
 
     # Identical build requests are content-addressed cache hits.
     assert service.build(customers, shops, metric="linf") == handle

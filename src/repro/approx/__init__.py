@@ -4,8 +4,8 @@ The exact sweep engines are exact *and* 2-d; this package trades bounded,
 tested error for workloads they cannot touch — high k, d > 2, huge n.
 See :mod:`repro.approx.engines` for the two registered engines,
 :mod:`repro.approx.knn_graph` and :mod:`repro.approx.lsh` for the
-neighbor-search primitives, and :mod:`repro.approx.surface` for the
-queryable circle-backed surface they serve.  ``docs/approx.md`` documents
+neighbor-search primitives; the engines serve their circles through
+:class:`repro.core.surface.NNCircleSurface`, as the exact engines do.  ``docs/approx.md`` documents
 the error model, the recall knob and the capability metadata.
 """
 
@@ -19,10 +19,8 @@ from .knn_graph import (
     symmetrize,
 )
 from .lsh import LSHIndex, calibrate_width, tables_for_recall
-from .surface import ApproxHeatSurface
 
 __all__ = [
-    "ApproxHeatSurface",
     "LSHIndex",
     "brute_force_knn",
     "build_knn_graph",

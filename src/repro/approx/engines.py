@@ -1,9 +1,11 @@
 """Approximate heat-map builder engines behind the algorithm registry.
 
 Both engines estimate each client's kth-NN radius among the facilities and
-hand the resulting NN-circles to :class:`~repro.approx.surface.ApproxHeatSurface`
-— no arrangement sweep, so they scale to k and d the exact engines cannot
-touch.  They differ only in how the radii are found:
+serve the resulting NN-circles as an
+:class:`~repro.core.surface.NNCircleSurface` — the surface the exact
+engines serve size-measure maps from, with approximate radii — so they
+scale to k and d the exact engines cannot touch.  They differ only in how
+the radii are found:
 
 * ``knn-graph`` — an NN-descent neighbor graph over the facilities, then
   beam search per client (:mod:`repro.approx.knn_graph`).  L2 and
@@ -16,6 +18,13 @@ Small instances (where approximation buys nothing) are answered by exact
 brute force, so the engines degrade *upward* to exactness.  Every source
 of randomness flows from the ``seed`` knob: one (inputs, knobs) pair gives
 byte-identical surfaces on every build.
+
+Dimensions beyond two are served through a *slice plane*: the surface
+fixes dims 2.. at the client centroid and keeps each d-ball's exact 2-d
+cross-section (for L2 a disk of radius ``sqrt(r^2 - off^2)``; for
+L-infinity the full square iff every perpendicular offset fits).  Queries
+and tiles on the plane are therefore *exact restrictions* of the
+d-dimensional surface — the only approximation is in the radii.
 """
 
 from __future__ import annotations
@@ -25,12 +34,14 @@ import math
 import numpy as np
 
 from ..core.heatmap import HeatMapResult
+from ..core.surface import NNCircleSurface
 from ..core.sweep_linf import SweepStats
 from ..errors import (
     AlgorithmUnsupportedError,
     BuildCancelledError,
     InvalidInputError,
 )
+from ..geometry.circle import NNCircleSet
 from .knn_graph import (
     _as_points,
     brute_force_knn,
@@ -39,15 +50,11 @@ from .knn_graph import (
     search_graph,
 )
 from .lsh import LSHIndex, tables_for_recall
-from .surface import ApproxHeatSurface
 
 __all__ = ["build_knn_graph_result", "build_lsh_result"]
 
 #: Facility counts at or below which the builders brute-force exactly.
 BRUTE_BELOW = 256
-
-#: Sample size for locating the (approximate) heat maximum.
-_MAX_HEAT_SAMPLE = 2048
 
 
 def _poll(should_cancel) -> None:
@@ -79,6 +86,29 @@ def _common_inputs(clients, facilities, *, metric, measure, monochromatic, k, na
     return c, f, k
 
 
+def _plane_circles(clients: np.ndarray, radii: np.ndarray, metric: str):
+    """``(circles, slice_point)``: the NN-circles on the viewing plane.
+
+    2-d inputs are their own plane (``slice_point`` None).  For d > 2 the
+    plane fixes dims 2.. at the client centroid and each ball contributes
+    its exact cross-section; balls missing the plane drop out.
+    """
+    ids = np.arange(len(clients), dtype=np.int64)
+    if clients.shape[1] == 2:
+        return NNCircleSet(clients[:, 0], clients[:, 1], radii, metric, ids), None
+    slice_point = clients.mean(axis=0)
+    off = clients[:, 2:] - slice_point[None, 2:]
+    if metric == "l2":
+        off_sq = (off * off).sum(axis=1)
+        keep = off_sq <= radii * radii
+        eff = np.sqrt(np.maximum(radii[keep] ** 2 - off_sq[keep], 0.0))
+    else:  # linf: the full square, iff every perpendicular offset fits
+        keep = np.abs(off).max(axis=1) <= radii
+        eff = radii[keep]
+    c = clients[keep]
+    return NNCircleSet(c[:, 0], c[:, 1], eff, metric, ids[keep]), slice_point
+
+
 def _result(
     clients: np.ndarray,
     knn_ids: np.ndarray,
@@ -87,37 +117,18 @@ def _result(
     *,
     metric: str,
     algorithm: str,
-    seed: int,
     n_events: int,
 ) -> HeatMapResult:
     """Wrap per-client kNN answers into a served surface + stats."""
-    radii = np.ascontiguousarray(knn_dists[:, -1])
     counts = reverse_neighbor_counts(knn_ids, n_facilities)
-    surface = ApproxHeatSurface(
-        clients,
-        radii,
-        metric_name=metric,
-        knn_indices=knn_ids,
-        facility_rnn_counts=counts,
+    circles, slice_point = _plane_circles(
+        clients, np.ascontiguousarray(knn_dists[:, -1]), metric
     )
-    # Approximate the heat maximum at a seeded sample of circle centers
-    # (every center is covered by its own circle; dense overlaps peak
-    # there).  Sampled, so huge builds don't pay an O(n^2) pass.
-    plane = surface._plane_centers
-    if len(plane):
-        rng = np.random.default_rng(seed)
-        take = (
-            np.arange(len(plane))
-            if len(plane) <= _MAX_HEAT_SAMPLE
-            else np.sort(rng.choice(len(plane), _MAX_HEAT_SAMPLE, replace=False))
-        )
-        heats = surface.heat_at_many(plane[take])
-        best = int(np.argmax(heats))
-        max_heat = float(heats[best])
-        max_pt = (float(plane[take][best, 0]), float(plane[take][best, 1]))
-        max_rnn = surface.rnn_at(*max_pt)
-    else:
-        max_heat, max_pt, max_rnn = 0.0, None, frozenset()
+    meta = {"knn_indices": knn_ids, "facility_rnn_counts": counts}
+    if slice_point is not None:
+        meta["slice_point"] = slice_point
+    surface = NNCircleSurface(circles, meta=meta)
+    max_heat, max_pt, max_rnn = surface.peak()
     stats = SweepStats(
         n_circles=len(clients),
         n_events=int(n_events),
@@ -129,7 +140,7 @@ def _result(
         n_fragments=0,
         algorithm=algorithm,
     )
-    return HeatMapResult(region_set=surface, stats=stats)
+    return HeatMapResult(surface, stats)
 
 
 def build_knn_graph_result(
@@ -179,7 +190,7 @@ def build_knn_graph_result(
     _poll(should_cancel)
     return _result(
         c, ids, dists, len(f),
-        metric=metric, algorithm="knn-graph", seed=seed, n_events=n_events,
+        metric=metric, algorithm="knn-graph", n_events=n_events,
     )
 
 
@@ -223,5 +234,5 @@ def build_lsh_result(
     _poll(should_cancel)
     return _result(
         c, ids, dists, len(f),
-        metric="l2", algorithm="lsh-rnn", seed=seed, n_events=n_events,
+        metric="l2", algorithm="lsh-rnn", n_events=n_events,
     )

@@ -291,16 +291,9 @@ def _cmd_query(args) -> int:
     )
     build_s = time.perf_counter() - t0
     world = service.world(handle)
-    result = service.result(handle)
-    workers_note = (
-        f" workers={result.stats.n_workers} slabs={result.stats.n_slabs}"
-        if result.stats.n_slabs > 1 or result.stats.n_workers > 1 else ""
-    )
     print(
         f"built {args.dataset} |O|={args.clients} |F|={args.facilities} "
-        f"metric={args.metric} algorithm={result.stats.algorithm}"
-        f"{workers_note} in {build_s:.2f}s "
-        f"({len(result.region_set)} fragments, handle {handle[:12]}...)"
+        f"metric={args.metric} in {build_s:.2f}s (handle {handle[:12]}...)"
     )
 
     rng = np.random.default_rng(args.seed + 2)
@@ -322,6 +315,15 @@ def _cmd_query(args) -> int:
     )
     print(f"top-{args.top_k} heats: "
           + ", ".join(f"{h:g}" for h in service.top_k_heats(handle, args.top_k)))
+    # Top-k reads the arrangement, so its sweep counters are known now
+    # (size-measure maps sweep on that first fragment-level request).
+    stats = service.result(handle).stats
+    workers_note = (
+        f" workers={stats.n_workers} slabs={stats.n_slabs}"
+        if stats.n_slabs > 1 or stats.n_workers > 1 else ""
+    )
+    print(f"arrangement: algorithm={stats.algorithm}{workers_note} "
+          f"({stats.n_fragments} fragments, {service.stats.sweeps} on-demand sweeps)")
 
     if args.tile_zoom > 8:
         print(f"--tile-zoom {args.tile_zoom} would render "

@@ -13,8 +13,6 @@ labeled-region output supporting interactive exploration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import AlgorithmUnsupportedError
@@ -26,9 +24,12 @@ from ..nn.nncircles import compute_nn_circles
 from .pruning import PruningResult, run_pruning_max
 from .registry import REGISTRY
 from .regionset import RegionSet
+from .surface import NNCircleSurface
 from .sweep_linf import SweepStats
 
-__all__ = ["RNNHeatMap", "HeatMapResult", "build_heat_map", "ALGORITHMS"]
+__all__ = [
+    "RNNHeatMap", "HeatMapResult", "build_heat_map", "sweep_circles", "ALGORITHMS",
+]
 
 #: Advertised engine names — a snapshot of the registry's public engines
 #: taken at import time.  Engines registered later dispatch fine through
@@ -36,12 +37,39 @@ __all__ = ["RNNHeatMap", "HeatMapResult", "build_heat_map", "ALGORITHMS"]
 ALGORITHMS = REGISTRY.names(public_only=True)
 
 
-@dataclass
 class HeatMapResult:
-    """A built heat map: the labeled subdivision plus work counters."""
+    """A built heat map: its heat surface plus work counters.
 
-    region_set: RegionSet
-    stats: SweepStats
+    ``region_set`` answers point queries and rasters: the swept
+    :class:`RegionSet`, or an :class:`NNCircleSurface` for size-measure
+    maps served from their circles.  ``stats`` left ``None`` are the
+    surface's sweep counters: reading them runs that sweep (once).
+    """
+
+    def __init__(self, region_set, stats: "SweepStats | None" = None) -> None:
+        self.region_set = region_set
+        self._stats = stats
+
+    def __repr__(self) -> str:
+        return f"HeatMapResult({self.region_set!r}, stats={self._stats!r})"
+
+    @property
+    def stats(self) -> SweepStats:
+        """Work counters (for a surface without given ones, its sweep's)."""
+        if self._stats is None:
+            return self.region_set.arrangement().stats
+        return self._stats
+
+    def known_stats(self) -> "SweepStats | None":
+        """The counters if reading them costs no sweep, else ``None``."""
+        if self._stats is None and not self.region_set.swept:
+            return None
+        return self.stats
+
+    @property
+    def max_heat(self) -> float:
+        """The map's maximum heat (``-inf`` when empty); never sweeps."""
+        return self.region_set.max_heat
 
     def heat_at(self, x: float, y: float) -> float:
         """Heat (influence) at one original-space point."""
@@ -163,23 +191,31 @@ class RNNHeatMap:
         with :class:`~repro.errors.BuildCancelledError`.  Engines that do
         not poll (superimposition, baseline) ignore it.
         """
-        if workers is not None and int(workers) != 1 and algorithm.lower() == "crest":
-            algorithm = f"{self.circles.metric.name}-parallel"
-        _spec, runner = REGISTRY.resolve(algorithm, self.circles.metric.name)
-        stats, region_set = runner(
-            self.circles,
-            self.measure,
-            transform=self.transform,
-            collect_fragments=collect_fragments,
-            on_label=on_label,
-            status_backend=status_backend,
-            baseline_index=baseline_index,
-            workers=workers,
+        return sweep_circles(
+            self.circles, self.measure, self.transform, algorithm,
+            collect_fragments=collect_fragments, status_backend=status_backend,
+            baseline_index=baseline_index, workers=workers, on_label=on_label,
             should_cancel=should_cancel,
         )
-        if region_set is None:
-            region_set = RegionSet([], self.transform, float(self.measure(frozenset())))
-        return HeatMapResult(region_set, stats)
+
+    def surface(self, algorithm: str = "crest") -> HeatMapResult:
+        """The size-measure map served from its NN-circles, unswept.
+
+        Heat, RNN sets and rasters come straight from the circles
+        (:class:`~repro.core.surface.NNCircleSurface`); the ``algorithm``
+        sweep runs only when fragments or sweep counters are first asked
+        for, and then answers exactly as :meth:`build` would have.  The
+        engine is resolved here, so an engine that cannot run under this
+        metric fails now rather than at first use.
+        """
+        if not isinstance(self.measure, SizeMeasure):
+            raise AlgorithmUnsupportedError(
+                "circle surfaces count circles: the size measure only"
+            )
+        REGISTRY.resolve(algorithm, self.circles.metric.name)
+        return HeatMapResult(
+            NNCircleSurface(self.circles, self.transform, engine=algorithm)
+        )
 
     def max_region(self, algorithm: str = "crest", **kwargs):
         """Find the maximum-influence region (the optimal-location query).
@@ -198,6 +234,40 @@ class RNNHeatMap:
         if point is not None and not self.transform.is_identity:
             point = self.transform.inverse(*point)
         return PruningResult(s.max_heat, s.max_heat_rnn, point)
+
+
+def sweep_circles(
+    circles: NNCircleSet,
+    measure: InfluenceMeasure,
+    transform: Transform,
+    algorithm: str = "crest",
+    *,
+    collect_fragments: bool = True,
+    status_backend: str = "sortedlist",
+    baseline_index: str = "segment_tree",
+    workers: "int | None" = None,
+    on_label=None,
+    should_cancel=None,
+) -> HeatMapResult:
+    """Run a registered sweep engine over internal-frame NN-circles (see
+    :meth:`RNNHeatMap.build` for the options)."""
+    if workers is not None and int(workers) != 1 and algorithm.lower() == "crest":
+        algorithm = f"{circles.metric.name}-parallel"
+    _spec, runner = REGISTRY.resolve(algorithm, circles.metric.name)
+    stats, region_set = runner(
+        circles,
+        measure,
+        transform=transform,
+        collect_fragments=collect_fragments,
+        on_label=on_label,
+        status_backend=status_backend,
+        baseline_index=baseline_index,
+        workers=workers,
+        should_cancel=should_cancel,
+    )
+    if region_set is None:
+        region_set = RegionSet([], transform, float(measure(frozenset())))
+    return HeatMapResult(region_set, stats)
 
 
 def build_heat_map(

@@ -11,6 +11,7 @@ post-processing operations: heat at a point, top-k, thresholding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -59,24 +60,96 @@ def _arc_y_many(cx, cy, r2, sign, px):
     return h
 
 
+class _BoxGrid:
+    """A uniform grid over axis-aligned boxes, in CSR layout.
+
+    ``side`` cells a side span ``bounds``; per cell, ``starts``/``counts``
+    index the boxes whose closed extent touches it in ``entries``, in box
+    order.  Coordinates outside ``bounds`` clamp to the edge cells.  With
+    ``max_entries`` the side halves until the index holds at most that
+    many entries.  The fragment table indexes fragment boxes with it and
+    the NN-circle surface (``repro.core.surface``) circle boxes.
+    """
+
+    __slots__ = ("side", "x0", "y0", "sx", "sy", "starts", "counts", "entries")
+
+    def __init__(
+        self, x_lo, x_hi, y_lo, y_hi, bounds: Rect, side: int,
+        max_entries: "int | None" = None,
+    ) -> None:
+        n = len(x_lo)
+        self.x0 = bounds.x_lo
+        self.y0 = bounds.y_lo
+        w = bounds.x_hi - bounds.x_lo
+        h = bounds.y_hi - bounds.y_lo
+        while True:
+            self.side = side
+            self.sx = side / w if w > 0 else 0.0
+            self.sy = side / h if h > 0 else 0.0
+            cx0 = self.column(x_lo)
+            rx = self.column(x_hi) - cx0 + 1
+            cy0 = self.row(y_lo)
+            spans = rx * (self.row(y_hi) - cy0 + 1)
+            if max_entries is None or side == 1 or spans.sum() <= max_entries:
+                break
+            side //= 2
+        # One entry per (box, cell it touches): the entry's offset within
+        # its box's block of cells locates the cell.
+        box = np.repeat(np.arange(n, dtype=np.int32), spans)
+        off = np.arange(len(box), dtype=np.int32)
+        off -= (np.cumsum(spans) - spans).astype(np.int32)[box]
+        dy, dx = np.divmod(off, rx.astype(np.int32)[box])
+        del off
+        key = (cy0 * side + cx0)[box]
+        key += dy * side
+        key += dx
+        del dy, dx
+        self.counts = np.bincount(key, minlength=side * side).astype(np.int32)
+        # Box order within each cell: sort unique (cell, box) keys.
+        key *= n
+        key += box
+        del box
+        key.sort()
+        self.entries = (key % n).astype(np.int32)
+        self.starts = np.concatenate(([0], np.cumsum(self.counts)[:-1]))
+
+    def _index(self, v, v0: float, scale: float) -> np.ndarray:
+        """Grid column (or row) of each coordinate, clamped into the grid."""
+        t = v - v0
+        t *= scale
+        with np.errstate(invalid="ignore"):  # NaN probes land in cell 0
+            i = t.astype(np.int64)
+        return np.clip(i, 0, self.side - 1, out=i)
+
+    def column(self, x) -> np.ndarray:
+        """Grid column of each x."""
+        return self._index(x, self.x0, self.sx)
+
+    def row(self, y) -> np.ndarray:
+        """Grid row of each y."""
+        return self._index(y, self.y0, self.sy)
+
+    def cell(self, px, py) -> np.ndarray:
+        """Flat cell index of each point."""
+        cell = self.row(py)
+        cell *= self.side
+        cell += self.column(px)
+        return cell
+
+
 class _FragmentTable:
     """Flat NumPy columns of a fragment list plus a uniform-grid index.
 
     ``cols`` holds one row per column — x-span, then the lower and upper
     bounding curves as ``(cx, cy, r*r, sign)`` (degenerate arcs with
     ``r == 0`` for rectangle fragments) — so one gather fetches every
-    column a candidate test needs.  A uniform grid of
+    column a candidate test needs.  A :class:`_BoxGrid` of
     ``2 * ceil(sqrt(n))`` cells a side over the fragments' union box
-    stores, per cell, the fragments whose bbox touches it (CSR layout:
-    ``cell_starts``/``cell_counts`` into ``entry_frag``), replacing the
+    stores, per cell, the fragments whose bbox touches it, replacing the
     per-point R-tree descent with vectorized candidate probing.
     """
 
-    __slots__ = (
-        "cols", "heat", "bb_ylo", "bb_yhi", "bounds",
-        "grid_n", "gx0", "gy0", "gsx", "gsy",
-        "cell_starts", "cell_counts", "entry_frag",
-    )
+    __slots__ = ("cols", "heat", "bb_ylo", "bb_yhi", "bounds", "grid")
 
     def __init__(self, fragments: list) -> None:
         n = len(fragments)
@@ -105,46 +178,8 @@ class _FragmentTable:
         y0, y1 = float(self.bb_ylo.min()), float(self.bb_yhi.max())
         self.bounds = Rect(x0, x1, y0, y1)
 
-        gn = self.grid_n = min(_GRID_PER_SQRT * int(np.ceil(np.sqrt(n))), _GRID_MAX)
-        self.gx0 = x0
-        self.gy0 = y0
-        self.gsx = gn / (x1 - x0) if x1 > x0 else 0.0
-        self.gsy = gn / (y1 - y0) if y1 > y0 else 0.0
-        cx0 = self._grid_index(x_lo, x0, self.gsx)
-        cx1 = self._grid_index(x_hi, x0, self.gsx)
-        cy0 = self._grid_index(self.bb_ylo, y0, self.gsy)
-        cy1 = self._grid_index(self.bb_yhi, y0, self.gsy)
-        rx = cx1 - cx0 + 1
-        spans = rx * (cy1 - cy0 + 1)
-        # One entry per (fragment, cell its box touches): the entry's offset
-        # within its fragment's block of cells locates the cell.
-        frag = np.repeat(np.arange(n, dtype=np.int32), spans)
-        off = np.arange(len(frag), dtype=np.int32)
-        off -= (np.cumsum(spans) - spans).astype(np.int32)[frag]
-        dy, dx = np.divmod(off, rx.astype(np.int32)[frag])
-        del off
-        key = (cy0 * gn + cx0)[frag]
-        key += dy * gn
-        key += dx
-        del dy, dx
-        self.cell_counts = np.bincount(key, minlength=gn * gn).astype(np.int32)
-        # Fragment order within each cell: sort unique (cell, fragment) keys.
-        key *= n
-        key += frag
-        del frag
-        key.sort()
-        self.entry_frag = (key % n).astype(np.int32)
-        self.cell_starts = np.concatenate(
-            ([0], np.cumsum(self.cell_counts)[:-1])
-        )
-
-    def _grid_index(self, v, v0: float, scale: float) -> np.ndarray:
-        """Grid column (or row) of each coordinate, clamped into the grid."""
-        t = v - v0
-        t *= scale
-        with np.errstate(invalid="ignore"):  # NaN probes land in cell 0
-            i = t.astype(np.int64)
-        return np.clip(i, 0, self.grid_n - 1, out=i)
+        side = min(_GRID_PER_SQRT * int(np.ceil(np.sqrt(n))), _GRID_MAX)
+        self.grid = _BoxGrid(x_lo, x_hi, self.bb_ylo, self.bb_yhi, self.bounds, side)
 
     def locate(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
         """Fragment index containing each point, or -1.
@@ -158,11 +193,10 @@ class _FragmentTable:
         """
         res = np.full(len(px), -1, dtype=np.int32)
         edge = np.full(len(px), -1, dtype=np.int32)
-        cell = self._grid_index(py, self.gy0, self.gsy)
-        cell *= self.grid_n
-        cell += self._grid_index(px, self.gx0, self.gsx)
-        starts = self.cell_starts[cell]
-        counts = self.cell_counts[cell]
+        grid = self.grid
+        cell = grid.cell(px, py)
+        starts = grid.starts[cell]
+        counts = grid.counts[cell]
         del cell
         pend = np.flatnonzero(counts)
         j = 0
@@ -170,7 +204,7 @@ class _FragmentTable:
             later = []
             for b in range(0, pend.size, _LOCATE_BLOCK):
                 blk = pend[b:b + _LOCATE_BLOCK]
-                fi = self.entry_frag[starts[blk] + j]
+                fi = grid.entries[starts[blk] + j]
                 x_lo, x_hi, *lo_up = np.take(self.cols, fi, axis=1)
                 x = px[blk]
                 y = py[blk]
@@ -421,6 +455,12 @@ class RegionSet:
         """
         table = self._table()
         return None if table is None else table.bounds
+
+    @property
+    def max_heat(self) -> float:
+        """The hottest fragment's heat (``-inf`` without fragments)."""
+        table = self._table()
+        return -math.inf if table is None else float(table.heat.max())
 
     # ------------------------------------------------------------------
     # Interactive post-processing (Section I: threshold / top-k support).

@@ -4,7 +4,8 @@ Building a city-scale heat map takes real time; exploration sessions want
 to persist the labeled subdivision and reload it instantly.  The format is
 a single ``.npz``: columnar arrays for the fragments plus a ragged encoding
 of the RNN sets (one flat id array + offsets), with the transform and
-defaults in a small JSON header.
+defaults in a small JSON header.  A circle surface stores its circles
+instead.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from ..errors import InvalidInputError
 from ..geometry.arcs import Arc
 from ..geometry.transforms import IDENTITY, ROTATE_L1_TO_LINF
 from .regionset import ArcFragment, RectFragment, RegionSet
+from .surface import NNCircleSurface
 
 __all__ = ["save_region_set", "load_region_set"]
 
@@ -30,14 +32,13 @@ _TRANSFORMS = {
 def save_region_set(region_set, path: "str | Path") -> Path:
     """Serialize a heat surface to ``.npz``. Returns the written path.
 
-    Accepts both the exact sweep's :class:`RegionSet` and the approximate
-    engines' circle-backed surface (anything exposing
-    ``kind == "approx-surface"`` plus a ``payload()``); the header's
-    ``kind`` field dispatches :func:`load_region_set` back to the right
-    constructor.
+    Accepts both the sweep's :class:`RegionSet` and an
+    :class:`~repro.core.surface.NNCircleSurface` (which persists its
+    circles, not fragments); the header's ``kind`` field dispatches
+    :func:`load_region_set` back to the right constructor.
     """
     path = Path(path)
-    if getattr(region_set, "kind", None) == "approx-surface":
+    if isinstance(region_set, NNCircleSurface):
         header, arrays = region_set.payload()
         header["version"] = 1
         np.savez_compressed(
@@ -100,22 +101,22 @@ def load_region_set(path: "str | Path"):
     """Load a surface previously written by ``save_region_set``.
 
     Returns a :class:`RegionSet`, or an
-    :class:`~repro.approx.surface.ApproxHeatSurface` for files whose
-    header carries ``kind: "approx-surface"``.
+    :class:`~repro.core.surface.NNCircleSurface` for files whose header
+    carries its ``kind``.
     """
     with np.load(Path(path)) as data:
         header = json.loads(bytes(data["header"]).decode("utf-8"))
         if header.get("version") != 1:
             raise InvalidInputError(f"unsupported RegionSet file version: {header}")
-        if header.get("kind") == "approx-surface":
-            from ..approx.surface import ApproxHeatSurface
-
-            return ApproxHeatSurface.from_payload(
-                header, {key: data[key] for key in data.files if key != "header"}
-            )
         transform = _TRANSFORMS.get(header["transform"])
         if transform is None:
             raise InvalidInputError(f"unknown transform {header['transform']!r}")
+        if header.get("kind") == NNCircleSurface.kind:
+            return NNCircleSurface.from_payload(
+                header,
+                {key: data[key] for key in data.files if key != "header"},
+                transform,
+            )
 
         fragments: list = []
         geom = data["rect_geom"]

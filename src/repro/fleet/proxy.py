@@ -603,9 +603,11 @@ class FleetProxy(BaseHTTPApp):
         """Aggregated observability: every replica's ``/stats`` + ours.
 
         ``fleet`` sums the numeric service counters across reachable
-        replicas — ``builds`` is the number of *actual sweeps* performed
+        replicas — ``builds`` is the number of *actual builds* performed
         fleet-wide, which under a shared store stays at one per distinct
-        fingerprint no matter how many replicas built it.
+        fingerprint no matter how many replicas built it; ``sweeps``
+        counts the on-demand arrangement sweeps, which each replica runs
+        for itself on its first fragment-level request of a handle.
         """
         probe = Request(method="GET", path="/stats")
         results = await self._fan_out(probe)

@@ -113,6 +113,11 @@ _MAX_TILE_ZOOM = 30
 #: (in-progress records are never pruned — their tasks are referenced).
 _MAX_BUILD_RECORDS = 512
 
+#: How long ``POST /build`` waits for its build before answering 202: a
+#: size-measure build (NN radii plus the circle surface) lands within it
+#: and answers ready, sparing the client a poll; a sweep does not.
+_BUILD_ANSWER_WAIT_S = 0.05
+
 
 @dataclass
 class HTTPStats:
@@ -783,9 +788,11 @@ class HeatMapHTTPApp(BaseHTTPApp):
 
         Static builds are keyed by input fingerprint: posting the same
         body twice returns the same handle, and a resident handle answers
-        200/ready immediately.  ``"dynamic": true`` instead attaches a
-        fresh ``DynamicHeatMap`` (unique handle per request) whose
-        ``/update`` endpoint routes through the incremental rebuild path.
+        200/ready immediately — as does a build that finishes within
+        ``_BUILD_ANSWER_WAIT_S`` of the request.  ``"dynamic": true``
+        instead attaches a fresh ``DynamicHeatMap`` (unique handle per
+        request) whose ``/update`` endpoint routes through the
+        incremental rebuild path.
         """
         payload = request.json()
         if not isinstance(payload, dict):
@@ -812,6 +819,14 @@ class HeatMapHTTPApp(BaseHTTPApp):
                 self._run_build(handle, clients, facilities, params)
             )
             self._builds[handle] = state
+        wait = _BUILD_ANSWER_WAIT_S
+        if "x-deadline" in request.headers:
+            # Leave the caller's budget room for the 202.
+            budget = Deadline.from_header(request.headers["x-deadline"]).budget
+            wait = min(wait, budget / 2)
+        await asyncio.wait({state["task"]}, timeout=wait)
+        if handle in self.service.handles():
+            return json_response({"handle": handle, "status": "ready"})
         return json_response(
             {"handle": handle, "status": "building", "poll": f"/build/{handle}"},
             202,

@@ -187,9 +187,12 @@ SPEC = {
                 "summary": "Kick (or recall) a heat-map build",
                 "description": (
                     "Static builds are keyed by input fingerprint and "
-                    "answered 202 + poll URL while sweeping, 200/ready once "
-                    "resident. Concurrent identical requests coalesce onto "
-                    "one sweep. dynamic=true attaches a DynamicHeatMap "
+                    "answered 202 + poll URL while building, 200/ready once "
+                    "resident or when the build finishes within 50 ms (a "
+                    "size-measure build is the NN radii plus a circle "
+                    "index; its arrangement is swept on the first top-k "
+                    "query). Concurrent identical requests coalesce onto "
+                    "one build. dynamic=true attaches a DynamicHeatMap "
                     "(unique dyn-N handle) that accepts /update batches."
                 ),
                 "operationId": "build",
@@ -204,7 +207,7 @@ SPEC = {
                 },
                 "responses": {
                     "200": {
-                        "description": "Already resident",
+                        "description": "Resident (already, or built within 50 ms)",
                         "content": {
                             "application/json": {
                                 "schema": {"$ref": "#/components/schemas/BuildStatus"}
@@ -388,11 +391,9 @@ SPEC = {
                         "required": False,
                         "description": (
                             "Heat at the top of the colour scale; defaults "
-                            "to the map's maximum heat, shared by every tile. "
-                            "For the approximate engines (knn-graph, "
-                            "lsh-rnn) that default is the maximum sampled "
-                            "at circle centres, a lower bound: heat above "
-                            "it takes the top colour."
+                            "to the map's exact maximum heat (for every "
+                            "engine, approximate ones included), shared by "
+                            "every tile."
                         ),
                         "schema": {"type": "number"},
                     },
@@ -537,7 +538,9 @@ SPEC = {
                         "description": (
                             "HeatMapService.stats_snapshot(): builds, cache "
                             "hit/miss/eviction, coalesced_builds/"
-                            "coalesced_tiles, inflight_peak, ..."
+                            "coalesced_tiles, inflight_peak, sweeps "
+                            "(arrangement sweeps run on demand for handles "
+                            "served from their NN-circles), ..."
                         ),
                     },
                     "http": {

@@ -207,13 +207,12 @@ def handle_vmax(result) -> float:
     """The default colour-scale top of a handle: its maximum heat.
 
     Every tile of the handle is scaled by the same value, so a colour
-    means the same heat in every tile.  An empty map (no labeled region,
-    maximum ``-inf``) scales to 0, which renders everything cold.  For
-    the approximate engines (``knn-graph``, ``lsh-rnn``) ``max_heat`` is
-    sampled at circle centres, a lower bound on the surface's maximum:
-    the few pixels above it take the top colour.
+    means the same heat in every tile.  The maximum is exact for every
+    engine — a circle surface finds it from its circles, without a sweep
+    — so no pixel is hotter than the scale.  An empty map (no labeled
+    region, maximum ``-inf``) scales to 0, which renders everything cold.
     """
-    top = float(result.stats.max_heat)
+    top = float(result.max_heat)
     return top if math.isfinite(top) else 0.0
 
 

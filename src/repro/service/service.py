@@ -3,8 +3,10 @@
 ``HeatMapService`` is the piece that turns the one-shot pipeline
 (``RNNHeatMap(...).build(...)``) into an interactive backend: builds are
 content-addressed and cached, point probes are answered in vectorized
-batches against the flat fragment table, and raster tiles are cached at
-tile granularity so pans and zooms only render what they have never seen.
+batches against the NN-circle surface (size-measure maps, swept only
+when a request needs fragments) or the flat fragment table, and raster
+tiles are cached at tile granularity so pans and zooms only render what
+they have never seen.
 
 Static and dynamic heat maps share one interface: ``build`` registers an
 immutable result under its input fingerprint, ``attach_dynamic`` registers
@@ -51,7 +53,9 @@ import numpy as np
 from ..core.heatmap import HeatMapResult, RNNHeatMap
 from ..core.regionset import RegionSet
 from ..core.registry import REGISTRY
-from ..errors import AlgorithmUnsupportedError, UnknownHandleError
+from ..core.surface import NNCircleSurface
+from ..errors import AlgorithmUnsupportedError, BuildCancelledError, UnknownHandleError
+from ..influence.measures import SizeMeasure
 from .. import faults
 from ..geometry.rect import Rect
 from .cache import LRUCache
@@ -180,6 +184,9 @@ class ServiceStats:
     coalesced_builds: int = 0
     coalesced_tiles: int = 0
     inflight_peak: int = 0
+    #: Arrangement sweeps run on demand for handles served from their
+    #: NN-circle surface (top-k, threshold, fragments, sweep counters).
+    sweeps: int = 0
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
@@ -335,15 +342,24 @@ class HeatMapService:
         canonicalized algorithm name — the async front end does this to
         key its coalescing map).
 
+        Under the size measure an exact engine's build is the NN radii
+        plus the :class:`~repro.core.surface.NNCircleSurface` over them:
+        heat, RNN and tile requests are answered from the circles, and
+        the engine's sweep runs once, on the first request that needs
+        fragments (``top_k_heats``, ``threshold``, the fragments or the
+        sweep counters; counted in ``stats.sweeps``).  Other measures
+        sweep here.
+
         Concurrent calls with the same fingerprint single-flight: one
-        thread sweeps while the rest wait and then take the cache hit, so
-        a cold fingerprint is swept exactly once no matter how many
+        thread builds while the rest wait and then take the cache hit, so
+        a cold fingerprint is built exactly once no matter how many
         threads ask for it.
 
-        ``should_cancel`` is forwarded to the sweep engine, which polls it
-        once per event batch; returning True abandons a cold build with
+        ``should_cancel`` is polled between build phases and forwarded to
+        a sweep engine, which polls it once per event batch; returning
+        True abandons a cold build with
         :class:`~repro.errors.BuildCancelledError` (cache hits and store
-        promotions are unaffected — they do no sweep work).
+        promotions are unaffected — they do no build work).
         """
         if workers is None:
             workers = self.default_workers
@@ -382,6 +398,7 @@ class HeatMapService:
                         promoted = None
                     if promoted is not None:
                         self.stats.inc("promotions")
+                        self._bind(promoted, workers)
                         self._admit(
                             handle,
                             _Entry(promoted, world_bounds(promoted.region_set)),
@@ -389,6 +406,7 @@ class HeatMapService:
                         return handle
                 if self.on_build is not None:
                     self.on_build(handle)
+                poll = self._wrap_cancel(should_cancel)
                 if spec.builder is not None:
                     spec.check_workload(
                         metric_name=str(metric).lower(), k=k,
@@ -397,7 +415,7 @@ class HeatMapService:
                     result = spec.builder(
                         clients, facilities, metric=metric, measure=measure,
                         monochromatic=monochromatic, k=k, options=options,
-                        should_cancel=self._wrap_cancel(should_cancel),
+                        should_cancel=poll,
                     )
                 else:
                     dims = _point_dims(clients)
@@ -411,11 +429,17 @@ class HeatMapService:
                         clients, facilities, metric=metric, measure=measure,
                         monochromatic=monochromatic, k=k,
                     )
-                    result = hm.build(
-                        algorithm,
-                        workers=workers,
-                        should_cancel=self._wrap_cancel(should_cancel),
-                    )
+                    if isinstance(hm.measure, SizeMeasure):
+                        # Served from the NN-circles; the sweep waits for
+                        # the first request that needs fragments.
+                        if poll is not None and poll():
+                            raise BuildCancelledError("build cancelled")
+                        result = hm.surface(algorithm)
+                    else:
+                        result = hm.build(
+                            algorithm, workers=workers, should_cancel=poll
+                        )
+                self._bind(result, workers)
                 self.stats.inc("builds")
                 if self.shared_store:
                     # Write through while the lease is held, so waiting
@@ -431,6 +455,18 @@ class HeatMapService:
                     handle, _Entry(result, world_bounds(result.region_set))
                 )
         return handle
+
+    def _bind(self, result: HeatMapResult, workers) -> None:
+        """Route a circle surface's on-demand sweep through this service:
+        counted in ``sweeps``, run with ``workers``, fault points armed."""
+        surface = result.region_set
+        if isinstance(surface, NNCircleSurface):
+            surface.workers = workers
+            surface.sweeper = self._sweep
+
+    def _sweep(self, surface: NNCircleSurface) -> HeatMapResult:
+        self.stats.inc("sweeps")
+        return surface.sweep(should_cancel=self._wrap_cancel(None))
 
     @staticmethod
     def _wrap_cancel(should_cancel):

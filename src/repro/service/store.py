@@ -7,9 +7,10 @@ away, and a later ``build`` with the same fingerprint reloads it instead of
 re-sweeping.  Fingerprints are content-addressed, so a stored result can
 never be stale — deleting entries is purely a space decision.
 
-Layout: one ``<fingerprint>.npz`` per RegionSet plus a ``.stats.json``
-sidecar carrying the sweep counters, so a promoted result is a full
-``HeatMapResult`` (json round-trips ``Infinity`` for the empty-map
+Layout: one ``<fingerprint>.npz`` per heat surface (a RegionSet's
+fragments, or a circle surface's circles) plus a ``.stats.json`` sidecar
+carrying the sweep counters when they are known, so a promoted result is
+a full ``HeatMapResult`` (json round-trips ``Infinity`` for the empty-map
 ``max_heat``, and the RNN frozenset travels as a sorted list).
 
 The store is a cache, never the source of truth: writes go through a
@@ -44,6 +45,7 @@ from pathlib import Path
 
 from ..core.heatmap import HeatMapResult
 from ..core.serialize import load_region_set, save_region_set
+from ..core.surface import NNCircleSurface
 from ..core.sweep_linf import SweepStats
 from .. import faults
 from .flight import KeyedMutex
@@ -148,14 +150,17 @@ def _stats_to_json(stats: SweepStats) -> dict:
     return d
 
 
-def _stats_from_json(d: dict) -> SweepStats:
-    d = dict(d)
+def _stats_from_json(d: dict) -> "SweepStats | None":
+    """The sidecar's counters, or None when it carries none (a surface
+    saved before its sweep ran)."""
+    d = {k: v for k, v in d.items() if k in SweepStats.__dataclass_fields__}
+    if not d:
+        return None
     d["max_heat_rnn"] = frozenset(d.get("max_heat_rnn", ()))
     point = d.get("max_heat_point")
     if point is not None:
         d["max_heat_point"] = (float(point[0]), float(point[1]))
-    known = {f for f in SweepStats.__dataclass_fields__}
-    return SweepStats(**{k: v for k, v in d.items() if k in known})
+    return SweepStats(**d)
 
 
 #: Prefix of in-flight temp files, excluded from ``handles()``.
@@ -261,7 +266,10 @@ class ResultStore:
         try:
             # The .npz suffix keeps np.savez from appending its own.
             save_region_set(result.region_set, tmp)
-            payload = _stats_to_json(result.stats)
+            # Saving never sweeps: an unswept surface's counters stay
+            # unknown, and its promoted copy sweeps when asked.
+            stats = result.known_stats()
+            payload = {} if stats is None else _stats_to_json(stats)
             payload[_CHECKSUM_KEY] = _digest(tmp.read_bytes())
             tmp_stats.write_text(json.dumps(payload))
             faults.mangle_file("store-save", tmp)
@@ -323,14 +331,17 @@ class ResultStore:
             except Exception:
                 self._quarantine(handle)
                 return None  # treat as a miss; the re-sweep overwrites it
+            surface = isinstance(region_set, NNCircleSurface)
+            stats = None
             if sidecar is not None:
                 try:
                     stats = _stats_from_json(sidecar)
                 except Exception:
                     sidecar = None
-            if sidecar is None:
+            if sidecar is None or (stats is None and not surface):
                 stats = SweepStats(
-                    n_fragments=len(region_set), algorithm="restored"
+                    n_fragments=0 if surface else len(region_set),
+                    algorithm="restored",
                 )
         return HeatMapResult(region_set, stats)
 

@@ -58,7 +58,7 @@ def _instance(seed: int, n_clients: int, n_facilities: int, d: int = 2):
 
 def _engine_dists(result, clients, facilities, metric: str) -> np.ndarray:
     """Per-client distances to the neighbors the engine actually chose."""
-    ids = result.region_set.knn_indices
+    ids = result.region_set.meta["knn_indices"]
     diff = facilities[ids] - clients[:, None, :]
     if metric == "linf":
         d = np.abs(diff).max(axis=2)
@@ -192,7 +192,7 @@ def test_surface_invariants_8d_slice_plane():
     assert_surface_invariants(result, probes)
     # The slice plane fixes dims 2.. at the client centroid.
     surface = result.region_set
-    np.testing.assert_allclose(surface.slice_point, clients.mean(axis=0))
+    np.testing.assert_allclose(surface.meta["slice_point"], clients.mean(axis=0))
 
 
 # ----------------------------------------------------------------------

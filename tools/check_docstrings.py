@@ -30,11 +30,11 @@ PUBLIC_MODULES = (
     "core/heatmap.py",
     "core/registry.py",
     "core/regionset.py",
+    "core/surface.py",
     "core/sweep_batched.py",
     "approx/__init__.py",
     "approx/knn_graph.py",
     "approx/lsh.py",
-    "approx/surface.py",
     "approx/engines.py",
     "parallel/shm.py",
     "dynamic/heatmap.py",
