@@ -127,20 +127,17 @@ def _result(
     meta = {"knn_indices": knn_ids, "facility_rnn_counts": counts}
     if slice_point is not None:
         meta["slice_point"] = slice_point
-    surface = NNCircleSurface(circles, meta=meta)
-    max_heat, max_pt, max_rnn = surface.peak()
+    # No maximum in the counters: the surface finds it when first read
+    # (``HeatMapResult.stats``), as its cost grows with overlapping pairs.
     stats = SweepStats(
         n_circles=len(clients),
         n_events=int(n_events),
         labels=0,
         max_rnn_size=int(counts.max(initial=0)),
-        max_heat=max_heat,
-        max_heat_rnn=max_rnn,
-        max_heat_point=max_pt,
         n_fragments=0,
         algorithm=algorithm,
     )
-    return HeatMapResult(surface, stats)
+    return HeatMapResult(NNCircleSurface(circles, engine=None, meta=meta), stats)
 
 
 def build_knn_graph_result(

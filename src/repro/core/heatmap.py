@@ -13,6 +13,8 @@ labeled-region output supporting interactive exploration.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from ..errors import AlgorithmUnsupportedError
@@ -44,6 +46,10 @@ class HeatMapResult:
     :class:`RegionSet`, or an :class:`NNCircleSurface` for size-measure
     maps served from their circles.  ``stats`` left ``None`` are the
     surface's sweep counters: reading them runs that sweep (once).
+    Counters given for a surface without a maximum (no
+    ``max_heat_point``) take it from :meth:`NNCircleSurface.peak` on
+    first read — the approximate engines build that way, so the exact
+    maximum stays off their build path.
     """
 
     def __init__(self, region_set, stats: "SweepStats | None" = None) -> None:
@@ -56,15 +62,22 @@ class HeatMapResult:
     @property
     def stats(self) -> SweepStats:
         """Work counters (for a surface without given ones, its sweep's)."""
-        if self._stats is None:
+        stats = self._stats
+        if stats is None:
             return self.region_set.arrangement().stats
-        return self._stats
+        if stats.max_heat_point is None and isinstance(self.region_set, NNCircleSurface):
+            heat, point, rnn = self.region_set.peak()
+            stats = self._stats = dataclasses.replace(
+                stats, max_heat=heat, max_heat_point=point, max_heat_rnn=rnn
+            )
+        return stats
 
     def known_stats(self) -> "SweepStats | None":
-        """The counters if reading them costs no sweep, else ``None``."""
-        if self._stats is None and not self.region_set.swept:
-            return None
-        return self.stats
+        """The counters if reading them costs no sweep, else ``None``; a
+        maximum still to be found stays unfilled."""
+        if self._stats is None:
+            return self.region_set.arrangement().stats if self.region_set.swept else None
+        return self._stats
 
     @property
     def max_heat(self) -> float:

@@ -29,7 +29,7 @@ import threading
 
 import numpy as np
 
-from ..errors import InvalidInputError
+from ..errors import AlgorithmUnsupportedError, InvalidInputError
 from ..geometry.circle import NNCircleSet
 from ..geometry.rect import Rect
 from ..geometry.transforms import IDENTITY
@@ -52,13 +52,22 @@ _ENTRIES_PER_CIRCLE = 256
 #: batch size, as ``regionset._LOCATE_BLOCK`` does for the fragment table.
 _BLOCK = 16384
 
-#: Circle pairs examined per step of the maximum search.
+#: Candidate circle pairs per group of the disk maximum search, and
+#: (x-step, y-interval) cells per block of the square one.
 _PAIR_BLOCK = 1 << 18
+_CELLS = 1 << 20
 
 #: Candidate boundary points closer than this (relative to their circle's
 #: radius) to another circle's boundary sit where rounding decides which
 #: side they are on, and cannot certify a maximum.
 _TIE = 1e-9
+
+
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``starts[k], starts[k] + 1, ...`` for ``sizes[k]`` values each, all
+    concatenated."""
+    offsets = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return np.repeat(starts, sizes) + offsets
 
 
 class NNCircleSurface:
@@ -73,7 +82,12 @@ class NNCircleSurface:
         circles: the NN-circles in the sweep's internal frame.
         transform: original -> internal coordinates (the pi/4 rotation for
             L1 maps, else the identity).
-        engine: registry name of the sweep :meth:`arrangement` runs.
+        engine: registry name of the sweep :meth:`arrangement` runs, or
+            None for circles that get no arrangement: the approximate
+            engines', whose heavily overlapping circles would take
+            minutes to hours and gigabytes of fragments to sweep.  Then
+            ``top_k_heats`` answers from the maximum and ``threshold``
+            and ``fragments`` are unsupported.
         meta: engine-specific arrays kept with the surface and its payload
             (the approximate engines' ``knn_indices``,
             ``facility_rnn_counts`` and ``slice_point``).
@@ -81,9 +95,10 @@ class NNCircleSurface:
     Two attributes belong to whoever serves the surface: ``workers``, the
     worker count :meth:`sweep` passes on (see ``RNNHeatMap.build``), and
     ``sweeper``, which when set replaces the default sweep — it is called
-    with the surface and returns the ``HeatMapResult`` to delegate to.
-    ``HeatMapService`` sets both, to honour its ``workers`` setting, count
-    sweeps and arm its fault points.
+    with the surface and a ``should_cancel`` poll (or None) and returns
+    the ``HeatMapResult`` to delegate to.  ``HeatMapService`` sets both,
+    to honour its ``workers`` setting, count sweeps and arm its fault
+    points.
     """
 
     #: Serialization tag (see ``repro.core.serialize``).
@@ -97,7 +112,7 @@ class NNCircleSurface:
         circles: NNCircleSet,
         transform=IDENTITY,
         *,
-        engine: str = "crest",
+        engine: "str | None" = "crest",
         meta: "dict | None" = None,
     ) -> None:
         self.circles = circles
@@ -157,16 +172,14 @@ class NNCircleSurface:
     # ------------------------------------------------------------------
     # Containment
     # ------------------------------------------------------------------
-    def _tests(self, px: np.ndarray, py: np.ndarray, *, half_open: bool = False):
-        """Yield ``(points, circles, inside)`` containment tests.
+    def _candidates(self, px: np.ndarray, py: np.ndarray):
+        """Yield ``(points, circles)``: each point of ``px``/``py``
+        (internal coordinates) with a candidate circle from its grid cell.
 
-        ``points`` index ``px``/``py`` (internal coordinates), ``circles``
-        are candidates from their grid cells and ``inside`` says which
-        contain them.  Each point's candidates are tried one slot at a
-        time, all points at once, so a point appears at most once per
-        yielded block.  Containment is strict; ``half_open`` (squares
-        only) admits a point on a square's low x or low y edge, which is
-        what the region up and to the right of that point sees.
+        Each point's candidates are taken one slot at a time, all points
+        at once, in blocks of at most ``_BLOCK`` — so a point appears at
+        most once per yielded block, and memory stays bounded however
+        many circles share a cell.
         """
         grid = self._grid
         if grid is None:
@@ -180,12 +193,17 @@ class NNCircleSurface:
         while pend.size:
             for b in range(0, pend.size, _BLOCK):
                 blk = pend[b:b + _BLOCK]
-                ci = grid.entries[starts[blk] + j]
-                yield blk, ci, self._inside(px[blk], py[blk], ci, half_open)
+                yield blk, grid.entries[starts[blk] + j]
             j += 1
             pend = pend[counts[pend] > j]
 
-    def _inside(self, x, y, ci, half_open: bool) -> np.ndarray:
+    def _tests(self, px: np.ndarray, py: np.ndarray):
+        """Yield ``(points, circles, inside)``: the :meth:`_candidates`
+        and which of them strictly contain their points."""
+        for blk, ci in self._candidates(px, py):
+            yield blk, ci, self._inside(px[blk], py[blk], ci)
+
+    def _inside(self, x, y, ci) -> np.ndarray:
         """Whether point ``(x[k], y[k])`` lies inside circle ``ci[k]``."""
         cols = np.take(self._cols, ci, axis=1)
         if self.metric_name == "l2":
@@ -199,13 +217,12 @@ class NNCircleSurface:
             np.sqrt(h, out=h)
             return (y > cy - h) & (y < cy + h)
         x_lo, x_hi, y_lo, y_hi = cols
-        low = np.greater_equal if half_open else np.greater
-        return low(x, x_lo) & (x < x_hi) & low(y, y_lo) & (y < y_hi)
+        return (x > x_lo) & (x < x_hi) & (y > y_lo) & (y < y_hi)
 
-    def _count(self, px, py, *, half_open: bool = False) -> np.ndarray:
+    def _count(self, px, py) -> np.ndarray:
         """Containing-circle count per internal-frame point."""
         out = np.zeros(len(px), dtype=np.int64)
-        for pt, _ci, inside in self._tests(px, py, half_open=half_open):
+        for pt, _ci, inside in self._tests(px, py):
             out[pt] += inside
         return out
 
@@ -268,19 +285,22 @@ class NNCircleSurface:
 
     def peak(self) -> "tuple[float, tuple[float, float] | None, frozenset]":
         """``(max_heat, point, rnn)``: the maximum heat, an internal-frame
-        point strictly inside a region attaining it, and that region's RNN
-        set.  Computed once, from the pairs of circles whose boxes overlap.
+        point reading it, and that point's RNN set.  Computed once, in
+        bounded memory.
 
-        The hottest region lies inside some circle along an arc of its
-        boundary (were it outside every circle bounding it, crossing in
-        would raise the heat).  For squares that region has a corner at a
-        low x edge and a low y edge of two squares containing it, and the
-        half-open count at that corner is its heat.  For disks each
-        circle's boundary is scanned for the arcs inside the most other
-        circles; a point just inside an arc's midpoint, nearer to it than
-        to any other boundary, confirms the count — so arcs that rounding
-        fabricates where many circles meet (every facility lies on all its
-        RNN circles) never count.
+        Squares are swept in x over the elementary y-intervals between
+        their edges: time grows with the square of the circle count,
+        however much they overlap.  For disks, the hottest region lies
+        inside some circle along an arc of its boundary (were it outside
+        every circle bounding it, crossing in would raise the heat), so
+        each circle's boundary is scanned for the arcs inside the most
+        other circles, over the pairs whose boxes overlap; a point just
+        inside an arc's midpoint, nearer to it than to any other
+        boundary, confirms the count — so arcs that rounding fabricates
+        where many circles meet (every facility lies on all its RNN
+        circles) never count.  The best heat at a circle centre (a lower
+        bound: a point's strict count is the heat of a region around it)
+        is the bar an arc must beat to be scanned or confirmed at all.
         """
         with self._peak_lock:
             if self._peak is None:
@@ -292,123 +312,168 @@ class NNCircleSurface:
                     self._peak = self._square_peak()
             return self._peak
 
-    def _box_pairs(self):
-        """Yield ``(i, j)`` arrays covering every unordered pair of circles
-        whose closed boxes overlap, once each, in bounded blocks: sorted by
-        low x, a circle pairs with the later ones starting inside its
-        x-span."""
+    def _pair_groups(self, floor: int):
+        """Yield ``(owners, a, b)``: a group of circles and, as index
+        arrays, every ordered pair ``(a, b)`` of distinct circles whose
+        closed boxes overlap with ``a`` in the group.
+
+        Circles sorted by low x pair with the later ones starting inside
+        their x-span and the earlier ones whose x-span reaches them.  A
+        group holds about ``_PAIR_BLOCK`` candidate pairs (a circle with
+        more is a group of its own), so memory stays bounded however much
+        the circles overlap.  A circle overlapping fewer than ``floor``
+        others bounds no point hotter than ``floor`` and owns no pairs.
+        """
         x_lo, x_hi, y_lo, y_hi = self._box
+        n = len(x_lo)
         order = np.argsort(x_lo, kind="stable")
         end = np.searchsorted(x_lo[order], x_hi[order], side="right")
-        count = end - np.arange(1, len(order) + 1)
-        ends = np.cumsum(count)
+        pos = np.arange(n)
+        later = end - pos - 1
+        # Earlier positions q whose span reaches p: q < p < end[q].
+        step = np.ones(n + 1, np.int64)
+        step[0] = 0
+        step -= np.bincount(end, minlength=n + 1)
+        earlier = np.cumsum(step)[:n]
+        live = later + earlier >= floor
+        total = np.cumsum(later + earlier)
         cuts = np.searchsorted(
-            ends, np.arange(_PAIR_BLOCK, int(ends[-1]), _PAIR_BLOCK), side="right"
+            total, np.arange(_PAIR_BLOCK, int(total[-1]), _PAIR_BLOCK), side="right"
         )
         lo = 0
-        for hi in [*np.unique(cuts).tolist(), len(order)]:
-            size = count[lo:hi]
-            a = np.repeat(np.arange(lo, hi), size)
-            b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(size) - size, size)
+        for hi in [*np.unique(cuts).tolist(), n]:
+            if not live[lo:hi].any():
+                lo = hi
+                continue
+            size = later[lo:hi]
+            a = np.repeat(pos[lo:hi], size)
+            b = _ranges(pos[lo:hi] + 1, size)
+            first = np.maximum(pos[:hi] + 1, lo)
+            q = np.flatnonzero(np.minimum(end[:hi], hi) > first)
+            size = np.minimum(end[q], hi) - first[q]
+            a = np.concatenate((a, _ranges(first[q], size)))
+            b = np.concatenate((b, np.repeat(q, size)))
             i, j = order[a], order[b]
-            keep = (y_lo[j] <= y_hi[i]) & (y_lo[i] <= y_hi[j])
-            yield i[keep], j[keep]
+            keep = live[a] & (y_lo[j] <= y_hi[i]) & (y_lo[i] <= y_hi[j])
+            yield order[lo:hi][live[lo:hi]], i[keep], j[keep]
             lo = hi
 
     def _square_peak(self):
         x_lo, x_hi, y_lo, y_hi = self._box
-        # Every square's own low corner, and the low-x/low-y corners two
-        # overlapping squares make, where the corner lies in both.
-        singles = np.arange(len(x_lo))
-        best, corner = -1, None
-        for i, j in [(singles, singles), *self._box_pairs()]:
-            for a, b in ((i, j), (j, i)):
-                X, Y = x_lo[a], y_lo[b]
-                keep = (x_lo[b] <= X) & (X < x_hi[b]) & (y_lo[a] <= Y) & (Y < y_hi[a])
-                X, Y = X[keep], Y[keep]
-                if len(X):
-                    heats = self._count(X, Y, half_open=True)
-                    k = int(np.argmax(heats))
-                    if heats[k] > best:
-                        best, corner = int(heats[k]), (float(X[k]), float(Y[k]))
-        # A point inside that region: halfway to the next edges up and right.
-        X, Y = corner
+        n = len(x_lo)
+        # Sweep x over the elementary y-intervals: a square adds 1 to the
+        # intervals [y_lo, y_hi) from its low x edge up to its high x edge.
+        # Half-open counts reach every open region's heat, so the most
+        # covered (x-step, y-interval) cell is the hottest region.
         xs = np.unique(np.concatenate((x_lo, x_hi)))
         ys = np.unique(np.concatenate((y_lo, y_hi)))
-        px = (X + xs[np.searchsorted(xs, X, side="right")]) / 2.0
-        py = (Y + ys[np.searchsorted(ys, Y, side="right")]) / 2.0
+        width = len(ys)
+        row = np.searchsorted(xs, np.concatenate((x_lo, x_hi)))
+        lo = np.searchsorted(ys, np.concatenate((y_lo, y_lo)))
+        hi = np.searchsorted(ys, np.concatenate((y_hi, y_hi)))
+        enter = np.arange(2 * n) < n
+        # +1 where an entering square's intervals start or a leaving
+        # one's end; -1 at the other end.
+        up = np.where(enter, lo, hi) + row * width
+        down = np.where(enter, hi, lo) + row * width
+        up.sort()
+        down.sort()
+        cover = np.zeros(width, np.int64)
+        best, cell = -1, None
+        rows = max(1, _CELLS // width)
+        for r0 in range(0, len(xs), rows):
+            r1 = min(r0 + rows, len(xs))
+            span = (r1 - r0) * width
+            first, last = r0 * width, r1 * width
+            u = up[np.searchsorted(up, first):np.searchsorted(up, last)] - first
+            d = down[np.searchsorted(down, first):np.searchsorted(down, last)] - first
+            block = np.bincount(u, minlength=span) - np.bincount(d, minlength=span)
+            block = block.reshape(r1 - r0, width)
+            np.cumsum(block, axis=1, out=block)
+            np.cumsum(block, axis=0, out=block)
+            block += cover
+            k = int(np.argmax(block))
+            if block.flat[k] > best:
+                best, cell = int(block.flat[k]), (r0 + k // width, k % width)
+            cover = block[-1].copy()
+        # A point inside that cell: the midpoints of its x-step and y-interval.
+        r, t = cell
+        px = (xs[r] + xs[r + 1]) / 2.0
+        py = (ys[t] + ys[t + 1]) / 2.0
         return self._certified(best, px, py)
 
     def _disk_peak(self):
         cx, cy, r = self.circles.cx, self.circles.cy, self.circles.radius
-        n = len(r)
-        base = np.zeros(n, dtype=np.int64)
-        owners, angles, deltas = [], [], []
-        for i, j in self._box_pairs():
-            dx, dy = cx[j] - cx[i], cy[j] - cy[i]
-            d = np.hypot(dx, dy)
-            # Both directions of each pair: circle a's boundary inside b.
-            for a, b, sx, sy in ((i, j, dx, dy), (j, i, -dx, -dy)):
-                ra, rb = r[a], r[b]
-                base += np.bincount(a[d <= rb - ra], minlength=n)
-                cross = (d < ra + rb) & (d > np.abs(ra - rb))
-                a, ra, rb, dd = a[cross], ra[cross], rb[cross], d[cross]
-                phi = np.arctan2(sy[cross], sx[cross])
-                half = np.arccos(
-                    np.clip((ra * ra + dd * dd - rb * rb) / (2.0 * ra * dd), -1.0, 1.0)
-                )
-                start = np.mod(phi - half, 2.0 * np.pi)
-                end = np.mod(phi + half, 2.0 * np.pi)
-                # An arc across angle 0 covers the scan's starting point.
-                base += np.bincount(a[start > end], minlength=n)
-                owners += [a, a]
-                angles += [start, end]
-                deltas += [np.ones(len(a), np.int64), np.full(len(a), -1, np.int64)]
-        owner = np.concatenate(owners + [np.zeros(0, np.int64)])
-        theta = np.concatenate(angles + [np.zeros(0)])
-        delta = np.concatenate(deltas + [np.zeros(0, np.int64)])
-        # Scan each circle's events by angle, ends before starts at ties
-        # (arcs are open): after an event the count holds up to the
-        # circle's next event, the last one wrapping round to its first.
-        order = np.lexsort((delta, theta, owner))
-        owner, theta, delta = owner[order], theta[order], delta[order]
-        head = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])[: len(owner)]
-        runs = np.diff(np.r_[head, len(owner)])
-        run = np.cumsum(delta)
-        run -= np.repeat(np.r_[0, run[head[1:] - 1]], runs)
-        depth = base[owner] + run
-        nxt = np.r_[theta[1:], 0.0][: len(owner)]
-        nxt[head + runs - 1] = theta[head] + 2.0 * np.pi
-        # Circles no other boundary crosses: one arc, the whole circle.
-        lone = np.setdiff1d(np.arange(n), owner)
-        keep = nxt > theta
-        owner = np.concatenate((owner[keep], lone))
-        depth = np.concatenate((depth[keep], base[lone])) + 1
-        mid = np.concatenate(((theta[keep] + nxt[keep]) / 2.0, np.zeros(len(lone))))
-
-        # Confirm arcs, deepest first, until no unconfirmed arc can win.
-        order = np.argsort(-depth, kind="stable")
-        owner, depth, mid = owner[order], depth[order], mid[order]
-        best, point = -1, None
-        for lo in range(0, len(owner), _BLOCK):
-            if depth[lo] <= best:
-                break
-            o, t = owner[lo:lo + _BLOCK], mid[lo:lo + _BLOCK]
-            ux, uy = np.cos(t), np.sin(t)
-            bx, by = cx[o] + r[o] * ux, cy[o] + r[o] * uy
-            gap = self._boundary_gap(bx, by, o)
-            ok = gap > _TIE * r[o]
-            step = gap[ok] / 2.0
-            qx, qy = bx[ok] - step * ux[ok], by[ok] - step * uy[ok]
-            heats = self._count(qx, qy)
-            if len(heats) and heats.max() > best:
-                k = int(np.argmax(heats))
-                best, point = int(heats[k]), (float(qx[k]), float(qy[k]))
-        if point is None:  # every arc sat on a tie: circle centres still count
-            heats = self._count(cx, cy)
-            k = int(np.argmax(heats))
-            best, point = int(heats[k]), (float(cx[k]), float(cy[k]))
+        heats = self._count(cx, cy)
+        k = int(np.argmax(heats))
+        best, point = int(heats[k]), (float(cx[k]), float(cy[k]))
+        for owner, depth, mid in self._arcs(best):
+            # Confirm arcs, deepest first, until no unconfirmed arc can win.
+            hot = np.flatnonzero(depth > best)
+            hot = hot[np.argsort(-depth[hot], kind="stable")]
+            for lo in range(0, len(hot), _BLOCK):
+                blk = hot[lo:lo + _BLOCK]
+                if depth[blk[0]] <= best:
+                    break
+                o, t = owner[blk], mid[blk]
+                ux, uy = np.cos(t), np.sin(t)
+                bx, by = cx[o] + r[o] * ux, cy[o] + r[o] * uy
+                gap = self._boundary_gap(bx, by, o)
+                ok = gap > _TIE * r[o]
+                step = gap[ok] / 2.0
+                qx, qy = bx[ok] - step * ux[ok], by[ok] - step * uy[ok]
+                heats = self._count(qx, qy)
+                if len(heats) and heats.max() > best:
+                    k = int(np.argmax(heats))
+                    best, point = int(heats[k]), (float(qx[k]), float(qy[k]))
         return self._certified(best, *point)
+
+    def _arcs(self, floor: int):
+        """Yield ``(owner, depth, mid)`` per group of :meth:`_pair_groups`:
+        the arcs the other boundaries cut each owner circle's boundary
+        into, how many circles contain each arc (its owner included) and
+        the angle of its midpoint.  A circle no other boundary crosses is
+        one arc, with mid-angle 0."""
+        cx, cy, r = self.circles.cx, self.circles.cy, self.circles.radius
+        base = np.zeros(len(r), dtype=np.int64)
+        for group, a, b in self._pair_groups(floor):
+            dx, dy = cx[b] - cx[a], cy[b] - cy[a]
+            d = np.hypot(dx, dy)
+            ra, rb = r[a], r[b]
+            # Circles containing all of a's boundary.
+            np.add.at(base, a[d <= rb - ra], 1)
+            cross = (d < ra + rb) & (d > np.abs(ra - rb))
+            a, ra, rb, d = a[cross], ra[cross], rb[cross], d[cross]
+            phi = np.arctan2(dy[cross], dx[cross])
+            half = np.arccos(
+                np.clip((ra * ra + d * d - rb * rb) / (2.0 * ra * d), -1.0, 1.0)
+            )
+            start = np.mod(phi - half, 2.0 * np.pi)
+            end = np.mod(phi + half, 2.0 * np.pi)
+            # An arc across angle 0 covers the scan's starting point.
+            np.add.at(base, a[start > end], 1)
+            owner = np.concatenate((a, a))
+            theta = np.concatenate((start, end))
+            delta = np.repeat(np.array([1, -1], np.int64), len(a))
+            # Scan each circle's events by angle, ends before starts at
+            # ties (arcs are open): after an event the count holds up to
+            # the circle's next event, the last wrapping round to its first.
+            order = np.lexsort((delta, theta, owner))
+            owner, theta, delta = owner[order], theta[order], delta[order]
+            head = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])[: len(owner)]
+            runs = np.diff(np.r_[head, len(owner)])
+            run = np.cumsum(delta)
+            run -= np.repeat(run[head] - delta[head], runs)
+            depth = base[owner] + run
+            nxt = np.r_[theta[1:], 0.0][: len(owner)]
+            nxt[head + runs - 1] = theta[head] + 2.0 * np.pi
+            keep = nxt > theta
+            lone = np.setdiff1d(group, owner)
+            yield (
+                np.concatenate((owner[keep], lone)),
+                np.concatenate((depth[keep], base[lone])) + 1,
+                np.concatenate(((theta[keep] + nxt[keep]) / 2.0, np.zeros(len(lone)))),
+            )
 
     def _boundary_gap(self, px, py, owner) -> np.ndarray:
         """Distance from each point to the nearest circle boundary other
@@ -416,19 +481,14 @@ class NNCircleSurface:
         owner's radius."""
         cx, cy, r = self.circles.cx, self.circles.cy, self.circles.radius
         gap = r[owner].copy()
-        grid = self._grid
-        cell = grid.cell(px, py)
-        size = grid.counts[cell]
-        pt = np.repeat(np.arange(len(px)), size)
-        slot = np.arange(int(size.sum())) - np.repeat(np.cumsum(size) - size, size)
-        ci = grid.entries[np.repeat(grid.starts[cell], size) + slot]
-        o = owner[pt]
-        # A circle identical to the owner shares its boundary: stepping
-        # inward stays inside both.
-        other = (cx[ci] != cx[o]) | (cy[ci] != cy[o]) | (r[ci] != r[o])
-        pt, ci = pt[other], ci[other]
-        dist = np.abs(np.hypot(px[pt] - cx[ci], py[pt] - cy[ci]) - r[ci])
-        np.minimum.at(gap, pt, dist)
+        for pt, ci in self._candidates(px, py):
+            o = owner[pt]
+            # A circle identical to the owner shares its boundary: stepping
+            # inward stays inside both.
+            other = (cx[ci] != cx[o]) | (cy[ci] != cy[o]) | (r[ci] != r[o])
+            pt, ci = pt[other], ci[other]
+            dist = np.abs(np.hypot(px[pt] - cx[ci], py[pt] - cy[ci]) - r[ci])
+            gap[pt] = np.minimum(gap[pt], dist)
         return gap
 
     def _certified(self, heat: int, px: float, py: float):
@@ -448,16 +508,27 @@ class NNCircleSurface:
             workers=self.workers, should_cancel=should_cancel,
         )
 
-    def arrangement(self):
+    def arrangement(self, should_cancel=None):
         """The swept ``HeatMapResult`` over these circles.
 
         The sweep runs on the first call only; concurrent first callers
-        wait for that one sweep.
+        wait for that one sweep.  It polls ``should_cancel`` once per
+        event batch; a cancelled sweep raises
+        :class:`~repro.errors.BuildCancelledError` and leaves nothing
+        behind, so the next call sweeps afresh.
         """
+        if self.engine is None:
+            raise AlgorithmUnsupportedError(
+                "this map has no arrangement (approximate engines serve "
+                "their circles only): fragments and threshold views are "
+                "unavailable"
+            )
         with self._sweep_lock:
             if self._swept is None:
-                run = self.sweeper if self.sweeper is not None else NNCircleSurface.sweep
-                self._swept = run(self)
+                if self.sweeper is not None:
+                    self._swept = self.sweeper(self, should_cancel)
+                else:
+                    self._swept = self.sweep(should_cancel=should_cancel)
             return self._swept
 
     @property
@@ -471,8 +542,22 @@ class NNCircleSurface:
         return self.arrangement().region_set.fragments
 
     def top_k_heats(self, k: int) -> "list[float]":
-        """The k largest distinct heat values (sweeps on first use)."""
-        return self.arrangement().region_set.top_k_heats(k)
+        """The k largest distinct heat values (sweeps on first use).
+
+        Without an engine they are ``max_heat``, ``max_heat - 1``, ...
+        down to 1: a path from the hottest region out of every circle
+        crosses one boundary at a time, so each of these is the heat of
+        some region — unless circles coincide (duplicate clients), whose
+        boundaries are crossed together.
+        """
+        if self.engine is not None:
+            return self.arrangement().region_set.top_k_heats(k)
+        if int(k) <= 0:
+            raise InvalidInputError("k must be positive")
+        top = self.max_heat
+        if not math.isfinite(top):
+            return []
+        return [float(v) for v in range(int(top), max(int(top) - int(k), 0), -1)]
 
     def threshold(self, min_heat: float):
         """The arrangement's fragments with heat >= ``min_heat`` (a

@@ -113,11 +113,6 @@ _MAX_TILE_ZOOM = 30
 #: (in-progress records are never pruned — their tasks are referenced).
 _MAX_BUILD_RECORDS = 512
 
-#: How long ``POST /build`` waits for its build before answering 202: a
-#: size-measure build (NN radii plus the circle surface) lands within it
-#: and answers ready, sparing the client a poll; a sweep does not.
-_BUILD_ANSWER_WAIT_S = 0.05
-
 
 @dataclass
 class HTTPStats:
@@ -788,11 +783,9 @@ class HeatMapHTTPApp(BaseHTTPApp):
 
         Static builds are keyed by input fingerprint: posting the same
         body twice returns the same handle, and a resident handle answers
-        200/ready immediately — as does a build that finishes within
-        ``_BUILD_ANSWER_WAIT_S`` of the request.  ``"dynamic": true``
-        instead attaches a fresh ``DynamicHeatMap`` (unique handle per
-        request) whose ``/update`` endpoint routes through the
-        incremental rebuild path.
+        200/ready immediately.  ``"dynamic": true`` instead attaches a
+        fresh ``DynamicHeatMap`` (unique handle per request) whose
+        ``/update`` endpoint routes through the incremental rebuild path.
         """
         payload = request.json()
         if not isinstance(payload, dict):
@@ -819,14 +812,6 @@ class HeatMapHTTPApp(BaseHTTPApp):
                 self._run_build(handle, clients, facilities, params)
             )
             self._builds[handle] = state
-        wait = _BUILD_ANSWER_WAIT_S
-        if "x-deadline" in request.headers:
-            # Leave the caller's budget room for the 202.
-            budget = Deadline.from_header(request.headers["x-deadline"]).budget
-            wait = min(wait, budget / 2)
-        await asyncio.wait({state["task"]}, timeout=wait)
-        if handle in self.service.handles():
-            return json_response({"handle": handle, "status": "ready"})
         return json_response(
             {"handle": handle, "status": "building", "poll": f"/build/{handle}"},
             202,
@@ -1132,11 +1117,11 @@ class HeatMapHTTPApp(BaseHTTPApp):
         # ETag carries the *per-tile* generation — a partial invalidation
         # only changes validators of tiles it actually dirtied — while the
         # handle-wide generation stays the race guard for cache admission.
-        result = await self.service.result(handle)
+        await self.service.result(handle)
         if vmax is None:
             # One colour scale per handle, so equal heat gets one colour
             # on both sides of every tile seam.
-            vmax = handle_vmax(result)
+            vmax = handle_vmax(await self.service.max_heat(handle))
         generation = self.service.service.generation(handle)
         tile_gen = self.service.service.tile_generation(handle, z, tx, ty)
         etag = tile_etag(handle, z, tx, ty, size, cmap, vmax, tile_gen)

@@ -188,10 +188,9 @@ SPEC = {
                 "description": (
                     "Static builds are keyed by input fingerprint and "
                     "answered 202 + poll URL while building, 200/ready once "
-                    "resident or when the build finishes within 50 ms (a "
-                    "size-measure build is the NN radii plus a circle "
-                    "index; its arrangement is swept on the first top-k "
-                    "query). Concurrent identical requests coalesce onto "
+                    "resident (a size-measure build is the NN radii plus a "
+                    "circle index; its arrangement is swept on the first "
+                    "top-k query). Concurrent identical requests coalesce onto "
                     "one build. dynamic=true attaches a DynamicHeatMap "
                     "(unique dyn-N handle) that accepts /update batches."
                 ),
@@ -207,7 +206,7 @@ SPEC = {
                 },
                 "responses": {
                     "200": {
-                        "description": "Resident (already, or built within 50 ms)",
+                        "description": "Already resident",
                         "content": {
                             "application/json": {
                                 "schema": {"$ref": "#/components/schemas/BuildStatus"}

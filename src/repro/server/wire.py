@@ -203,8 +203,8 @@ def tile_etag(
     )
 
 
-def handle_vmax(result) -> float:
-    """The default colour-scale top of a handle: its maximum heat.
+def handle_vmax(max_heat: float) -> float:
+    """The default colour-scale top of a handle, given its maximum heat.
 
     Every tile of the handle is scaled by the same value, so a colour
     means the same heat in every tile.  The maximum is exact for every
@@ -212,7 +212,7 @@ def handle_vmax(result) -> float:
     — so no pixel is hotter than the scale.  An empty map (no labeled
     region, maximum ``-inf``) scales to 0, which renders everything cold.
     """
-    top = float(result.max_heat)
+    top = float(max_heat)
     return top if math.isfinite(top) else 0.0
 
 

@@ -126,6 +126,10 @@ class AsyncHeatMapService:
         self._inflight_tiles: "dict[tuple, _Flight]" = {}
         #: build fingerprint -> _Flight
         self._inflight_builds: "dict[str, _Flight]" = {}
+        #: handle -> _Flight of its on-demand arrangement sweep
+        self._inflight_sweeps: "dict[str, _Flight]" = {}
+        #: handle -> _Flight of its maximum-heat search
+        self._inflight_peaks: "dict[str, _Flight]" = {}
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -151,18 +155,20 @@ class AsyncHeatMapService:
     def _note_inflight(self) -> None:
         self.stats.record_inflight(
             len(self._inflight_tiles) + len(self._inflight_builds)
+            + len(self._inflight_sweeps) + len(self._inflight_peaks)
         )
 
     async def _single_flight(self, inflight: dict, key, handle: str, call,
-                             coalesce_counter: str):
+                             coalesce_counter: "str | None"):
         """Run ``call`` once per ``key`` no matter how many callers ask.
 
         The first caller (leader) runs ``call`` on the executor and
         resolves the shared future with ``(value, stale)``; later callers
-        (followers) bump ``coalesce_counter`` and await it.  ``stale`` is
-        true when ``handle``'s generation moved during the flight — then
-        everyone rejoins the queue and the computation reruns against the
-        refreshed entry (bounded by ``_MAX_STALE_RETRIES``).
+        (followers) bump ``coalesce_counter`` (when given) and await it.
+        ``stale`` is true when ``handle``'s generation moved during the
+        flight — then everyone rejoins the queue and the computation
+        reruns against the refreshed entry (bounded by
+        ``_MAX_STALE_RETRIES``).
 
         ``call`` receives the flight's ``should_cancel`` hook as its one
         argument (builds thread it down to the sweep; tile renders ignore
@@ -179,7 +185,7 @@ class AsyncHeatMapService:
             last = attempt == _MAX_STALE_RETRIES - 1
             flight = inflight.get(key)
             if flight is not None:
-                if not counted:
+                if not counted and coalesce_counter is not None:
                     self.stats.inc(coalesce_counter)
                     counted = True
                 flight.waiters += 1
@@ -313,6 +319,8 @@ class AsyncHeatMapService:
         for k in doomed_tiles:
             del self._inflight_tiles[k]
         self._inflight_builds.pop(handle, None)
+        self._inflight_sweeps.pop(handle, None)
+        self._inflight_peaks.pop(handle, None)
         self.service.invalidate(handle)
 
     # ------------------------------------------------------------------
@@ -336,8 +344,31 @@ class AsyncHeatMapService:
         return await self._run(self.service.rnn_at_many, handle, points)
 
     async def top_k_heats(self, handle: str, k: int) -> "list[float]":
-        """The k largest distinct heat values of the subdivision."""
+        """The k largest distinct heat values of the subdivision.
+
+        A handle served from its NN-circle surface sweeps on its first
+        fragment-level request (:meth:`HeatMapService.prepare`), in a
+        flight keyed by handle: concurrent callers await that one sweep
+        without holding executor threads, and a leader whose caller goes
+        away (disconnect, deadline) with nobody waiting cancels it.
+        """
+        def call(should_cancel=None):
+            self.service.prepare(handle, should_cancel)
+
+        await self._single_flight(self._inflight_sweeps, handle, handle, call, None)
         return await self._run(self.service.top_k_heats, handle, k)
+
+    async def max_heat(self, handle: str) -> float:
+        """The map's maximum heat, the default colour scale of its tiles.
+
+        A circle surface finds it on first use, in a flight keyed by
+        handle: the cold tiles of a freshly opened map await that one
+        search without holding executor threads.
+        """
+        def call(should_cancel=None):
+            return self.service.max_heat(handle)
+
+        return await self._single_flight(self._inflight_peaks, handle, handle, call, None)
 
     # ------------------------------------------------------------------
     # Tiles

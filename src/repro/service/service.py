@@ -184,8 +184,9 @@ class ServiceStats:
     coalesced_builds: int = 0
     coalesced_tiles: int = 0
     inflight_peak: int = 0
-    #: Arrangement sweeps run on demand for handles served from their
-    #: NN-circle surface (top-k, threshold, fragments, sweep counters).
+    #: Arrangement sweeps started on demand for handles served from their
+    #: NN-circle surface (top-k, threshold, fragments, sweep counters); a
+    #: cancelled one counts, and so does the next request's retry.
     sweeps: int = 0
 
     def __post_init__(self) -> None:
@@ -464,9 +465,9 @@ class HeatMapService:
             surface.workers = workers
             surface.sweeper = self._sweep
 
-    def _sweep(self, surface: NNCircleSurface) -> HeatMapResult:
+    def _sweep(self, surface: NNCircleSurface, should_cancel) -> HeatMapResult:
         self.stats.inc("sweeps")
-        return surface.sweep(should_cancel=self._wrap_cancel(None))
+        return surface.sweep(should_cancel=self._wrap_cancel(should_cancel))
 
     @staticmethod
     def _wrap_cancel(should_cancel):
@@ -710,6 +711,30 @@ class HeatMapService:
         self.stats.inc("batch_queries")
         self.stats.inc("points_queried", len(out))
         return out
+
+    def prepare(self, handle: str, should_cancel=None) -> None:
+        """Do a handle's one-time work for fragment-level requests.
+
+        A handle served from its NN-circle surface sweeps its arrangement
+        here, once (counted in ``stats.sweeps``); the sweep polls
+        ``should_cancel`` once per event batch and, cancelled, leaves the
+        handle unswept.  A surface without an arrangement (approximate
+        engines) finds its maximum instead, which its top-k reads.  Other
+        handles were swept when built.  ``top_k_heats`` and ``threshold``
+        do this on their own when needed; the async front end calls it
+        first, to run it once per handle in a flight.
+        """
+        surface = self._entry(handle).result.region_set
+        if isinstance(surface, NNCircleSurface):
+            if surface.engine is None:
+                surface.peak()
+            else:
+                surface.arrangement(should_cancel)
+
+    def max_heat(self, handle: str) -> float:
+        """The map's maximum heat (``-inf`` when empty); never sweeps, but
+        a circle surface finds it on the first call."""
+        return self._entry(handle).result.max_heat
 
     def top_k_heats(self, handle: str, k: int) -> "list[float]":
         """The k largest distinct heat values of the subdivision."""

@@ -191,7 +191,7 @@ def test_tile_bytes_are_stable_and_match_sync_render(server, handle):
     sync_handle = sync.build(clients, facilities, metric="l2")
     assert sync_handle == handle, "fingerprint must be input-addressed"
     grid, _bounds = sync.tile(sync_handle, 1, 0, 1)
-    vmax = handle_vmax(sync.result(sync_handle))
+    vmax = handle_vmax(sync.result(sync_handle).max_heat)
     assert render_tile_png(grid, "heat", vmax) == png1
     # And the decoded image equals the colormapped grid.
     image = decode_png(png1)
@@ -241,7 +241,7 @@ def test_default_colour_scale_is_per_handle(server, handle):
     img_l, img_r = decode_png(png_l)[::-1], decode_png(png_r)[::-1]
     np.testing.assert_array_equal(img_l[rows, -1], img_r[rows, 0])
     # The resolved scale names the bytes: it is the one in the ETag.
-    assert f".v{handle_vmax(sync.result(h))!r}." in h_l["ETag"]
+    assert f".v{handle_vmax(sync.result(h).max_heat)!r}." in h_l["ETag"]
 
 
 def test_json_responses_validate_against_openapi(server, handle):

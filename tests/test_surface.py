@@ -11,20 +11,28 @@ tangent-circle input where the sweep itself mislabels a region.
 
 from __future__ import annotations
 
+import asyncio
+import json
 import sys
 import threading
+import time
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro import HeatMapService, RNNHeatMap
+from repro import HeatMapService, RNNHeatMap, faults
 from repro.approx import build_knn_graph_result
 from repro.core.heatmap import sweep_circles
 from repro.core.serialize import load_region_set, save_region_set
 from repro.core.surface import NNCircleSurface
 from repro.influence.measures import SizeMeasure
+from repro.faults import FaultInjector
+from repro.render.png import decode_png
 from repro.render.raster import world_bounds
+from repro.server import ThreadedHTTPServer
+from repro.service import AsyncHeatMapService
 from repro.service.tiles import tile_bounds
 from repro.server.wire import handle_vmax
 
@@ -130,6 +138,78 @@ class TestSurfaceEqualsSweep:
         assert loaded.top_k_heats(3) == surface.top_k_heats(3)
 
 
+class TestNoCrossings:
+    """Circles no other boundary crosses: a lone client, disjoint circles,
+    and circles nested inside each other (tangent at the inner circle's
+    facility).  The maximum search has no arc ends to scan there."""
+
+    CASES = {
+        "one-client": (np.array([[0.2, 0.2]]), np.array([[0.5, 0.5]])),
+        "disjoint": (
+            np.array([[0.2, 0.2], [0.8, 0.8]]),
+            np.array([[0.25, 0.25], [0.85, 0.85]]),
+        ),
+        "nested": (
+            np.array([[0.5, 0.5], [0.52, 0.5]]),
+            np.array([[0.9, 0.5], [0.0, 0.0]]),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("metric", ["l1", "l2", "linf"])
+    def test_maximum_is_the_sweeps(self, case, metric):
+        clients, facilities = self.CASES[case]
+        hm = RNNHeatMap(clients, facilities, metric=metric)
+        surface = hm.surface().region_set
+        assert surface.max_heat == hm.build().stats.max_heat
+        heat, point, rnn = surface.peak()
+        assert surface.heat_at(*hm.transform.inverse(*point)) == heat == len(rnn)
+
+    @pytest.mark.parametrize("metric", ["l2", "linf"])
+    def test_knn_graph_build(self, metric):
+        clients, facilities = self.CASES["disjoint"]
+        result = build_knn_graph_result(clients, facilities, metric=metric, k=1)
+        surface = result.region_set
+        swept = sweep_circles(surface.circles, SizeMeasure(), surface.transform)
+        assert result.stats.max_heat == swept.stats.max_heat == 1.0
+
+    def test_default_colour_scale_tile(self):
+        clients, facilities = self.CASES["disjoint"]
+        with ThreadedHTTPServer(tile_size=32) as srv:
+            handle = _http_build(srv.url, clients, facilities, "l2")
+            with urllib.request.urlopen(
+                f"{srv.url}/tiles/{handle}/0/0/0.png", timeout=30
+            ) as resp:
+                assert resp.status == 200
+                etag = resp.headers["ETag"]
+                grid = decode_png(resp.read())
+        assert ".v1.0." in etag  # the resolved scale: the maximum, 1
+        assert grid.shape[:2] == (32, 32)
+
+
+def _http_build(url, clients, facilities, metric):
+    """Post a dataset and build it over HTTP; returns the ready handle."""
+    def post(path, payload):
+        req = urllib.request.Request(
+            url + path, data=json.dumps(payload).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        with urllib.request.urlopen(req, timeout=30) as resp:
+            return json.loads(resp.read())
+
+    ds = post("/datasets", {
+        "clients": clients.tolist(), "facilities": facilities.tolist(),
+    })
+    handle = post("/build", {"dataset": ds["dataset"], "metric": metric})["handle"]
+    deadline = time.time() + 30
+    while time.time() < deadline:
+        with urllib.request.urlopen(f"{url}/build/{handle}", timeout=30) as resp:
+            if json.loads(resp.read())["status"] == "ready":
+                return handle
+        time.sleep(0.01)
+    raise AssertionError(f"build {handle} never became ready")
+
+
 class TestTangentCircles:
     """Three NN-circles tangent at their shared facility.
 
@@ -192,7 +272,7 @@ class TestOnDemandSweep:
         service.rnn_at_many(h, probes)
         service.tile(h, 0, 0, 0)
         service.viewport(h, 2, service.world(h))
-        assert handle_vmax(service.result(h)) > 0
+        assert handle_vmax(service.result(h).max_heat) > 0
         assert service.stats.sweeps == 0
         assert service.stats_snapshot()["sweeps"] == 0
         assert not service.result(h).region_set.swept
@@ -248,6 +328,143 @@ class TestOnDemandSweep:
         assert len(surface.fragments) == len(direct.region_set)
 
 
+class TestAsyncSweepFlight:
+    """The async front end sweeps a surface-served handle in a flight:
+    waiters hold no executor thread, and an abandoned sweep stops."""
+
+    @pytest.fixture
+    def slow_sweep(self):
+        """Every sweep event batch sleeps 20 ms (the first 100 batches)."""
+        inj = faults.install(FaultInjector(seed=0))
+        inj.schedule("sweep-batch", "slow", delay=0.02, count=100)
+        try:
+            yield inj
+        finally:
+            faults.uninstall()
+
+    @staticmethod
+    async def _until_sweeping(svc):
+        deadline = time.monotonic() + 20.0
+        while svc.stats.sweeps == 0:
+            assert time.monotonic() < deadline, "the sweep never started"
+            await asyncio.sleep(0.002)
+
+    def test_waiters_leave_threads_free(self, slow_sweep):
+        clients, facilities, probes = _instance(23)
+        expected = RNNHeatMap(clients, facilities, metric="l2").build()
+
+        async def scenario():
+            svc = AsyncHeatMapService(max_workers=2)
+            h = await svc.build(clients, facilities, metric="l2")
+            tops = [asyncio.create_task(svc.top_k_heats(h, 3)) for _ in range(8)]
+            await self._until_sweeping(svc)
+            # Seven waiters and one sweep: a probe still finds a thread.
+            heats = await asyncio.wait_for(svc.heat_at_many(h, probes), 20.0)
+            mid_sweep = not svc.service.result(h).region_set.swept
+            answers = await asyncio.wait_for(asyncio.gather(*tops), 60.0)
+            await svc.aclose()
+            return svc, heats, mid_sweep, answers
+
+        svc, heats, mid_sweep, answers = asyncio.run(scenario())
+        assert mid_sweep
+        np.testing.assert_array_equal(heats, expected.heat_at_many(probes))
+        assert answers == [expected.region_set.top_k_heats(3)] * 8
+        assert svc.stats.sweeps == 1
+
+    def test_abandoned_sweep_stops(self, slow_sweep):
+        clients, facilities, _probes = _instance(23)
+
+        async def scenario():
+            svc = AsyncHeatMapService(max_workers=2)
+            h = await svc.build(clients, facilities, metric="l2")
+            task = asyncio.create_task(svc.top_k_heats(h, 3))
+            await self._until_sweeping(svc)
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            await svc.aclose()  # joins the executor: the sweep has ended
+            return svc, h
+
+        svc, h = asyncio.run(scenario())
+        surface = svc.service.result(h).region_set
+        # It stopped within a batch or two of the cancellation instead of
+        # sweeping the map for nobody, and left the handle unswept.
+        assert slow_sweep.stats()["sweep-batch:slow"] < 10
+        assert not surface.swept
+        expected = RNNHeatMap(clients, facilities, metric="l2").build()
+        assert svc.service.top_k_heats(h, 3) == expected.region_set.top_k_heats(3)
+        assert svc.stats.sweeps == 2
+
+
+def test_default_colour_scale_is_found_once_off_the_threads():
+    """Cold default-scale tiles of a fresh map await one maximum search
+    in a flight: a probe still finds a free executor thread meanwhile."""
+    clients, facilities, probes = _instance(23)
+    started, release = threading.Event(), threading.Event()
+    searches = []
+
+    async def scenario():
+        svc = AsyncHeatMapService(max_workers=2)
+        h = await svc.build(clients, facilities, metric="l2")
+        surface = svc.service.result(h).region_set
+        search = surface._disk_peak
+
+        def gated():
+            searches.append(1)
+            started.set()
+            assert release.wait(20.0), "test never released the search"
+            return search()
+
+        surface._disk_peak = gated
+        tops = [asyncio.create_task(svc.max_heat(h)) for _ in range(8)]
+        loop = asyncio.get_running_loop()
+        assert await loop.run_in_executor(None, started.wait, 20.0)
+        try:
+            heats = await asyncio.wait_for(svc.heat_at_many(h, probes), 20.0)
+        finally:
+            release.set()
+        answers = await asyncio.wait_for(asyncio.gather(*tops), 60.0)
+        await svc.aclose()
+        return heats, answers
+
+    heats, answers = asyncio.run(scenario())
+    expected = RNNHeatMap(clients, facilities, metric="l2").build()
+    np.testing.assert_array_equal(heats, expected.heat_at_many(probes))
+    assert answers == [expected.stats.max_heat] * 8
+    assert len(searches) == 1
+
+
+class TestApproximateMaps:
+    """The approximate engines' circles get no arrangement: sweeping their
+    heavily overlapping circles is what those engines exist to avoid."""
+
+    @pytest.fixture
+    def instance(self):
+        rng = np.random.default_rng(3)
+        return rng.random((150, 2)), rng.random((60, 2))
+
+    def test_top_k_counts_down_from_the_maximum(self, instance):
+        clients, facilities = instance
+        result = build_knn_graph_result(clients, facilities, metric="l2", k=3)
+        surface = result.region_set
+        swept = sweep_circles(surface.circles, SizeMeasure(), surface.transform)
+        want = [v for v in swept.region_set.top_k_heats(6) if v >= 1][:5]
+        assert surface.top_k_heats(5) == want
+        assert not surface.swept
+
+    def test_service_never_sweeps_them(self, instance):
+        from repro.errors import AlgorithmUnsupportedError
+
+        clients, facilities = instance
+        service = HeatMapService()
+        h = service.build(clients, facilities, metric="l2", algorithm="knn-graph")
+        top = service.top_k_heats(h, 3)
+        assert top[0] == service.result(h).stats.max_heat
+        with pytest.raises(AlgorithmUnsupportedError):
+            service.threshold(h, top[-1])
+        assert service.stats.sweeps == 0
+
+
 def test_knn_graph_max_heat_is_the_sweeps():
     """The approximate engines' default colour scale is the exact maximum
     of their circles: the crest sweep over those circles agrees."""
@@ -255,6 +472,8 @@ def test_knn_graph_max_heat_is_the_sweeps():
     clients, facilities = rng.random((150, 2)), rng.random((60, 2))
     result = build_knn_graph_result(clients, facilities, metric="l2", k=3)
     surface = result.region_set
+    # The build leaves the maximum for the first read.
+    assert result.known_stats().max_heat_point is None
     swept = sweep_circles(surface.circles, SizeMeasure(), surface.transform)
     assert result.stats.max_heat == swept.stats.max_heat
     x, y = result.stats.max_heat_point
