@@ -12,12 +12,12 @@ drives it over real sockets with N keep-alive viewer connections:
 3. **probe batches** — every viewer POSTs a vectorized heat query;
 4. **revalidation pass** — every viewer re-fetches its tiles with
    ``If-None-Match`` and must get 304s (free tiles);
-5. **dynamic update** — a fresh dynamic handle over a grid world: cold
-   pan served by progressive placeholders (time-to-first-tile measured
-   against a hard budget), then one localized client move, after which
-   clean tiles must keep revalidating 304, each dirty tile must refresh
-   with exactly one render, and every refreshed tile must be
-   byte-identical to a from-scratch build of the moved world.
+5. **dynamic update** — a fresh dynamic handle over a grid world: a
+   cold pan of real renders (time-to-first-tile measured against a hard
+   budget), then one localized client move, after which clean tiles
+   must keep revalidating 304, each dirty tile must refresh with exactly
+   one render, and every refreshed tile must be byte-identical to a
+   from-scratch build of the moved world.
 
 Latency percentiles come from the shared ``repro.service.latency``
 module, so the numbers are directly comparable with
@@ -25,10 +25,11 @@ module, so the numbers are directly comparable with
 
 Self-checks (non-zero exit on failure): exactly one sweep for the one
 fingerprint, renders <= distinct tiles, all viewers receive identical
-tile bytes, every revalidation hits 304, placeholder TTFT under budget,
-clean tiles stay 304 after a partial update, renders match the
-dirty-tile count, and the converged tiles are byte-identical to a
-from-scratch render. ``--tile-p99-budget-ms`` /
+tile bytes, every revalidation hits 304, every phase-5 cold tile carries
+a strong ETag and no marker header, cold-tile TTFT under budget, clean
+tiles stay 304 after a partial update, renders match the dirty-tile
+count, and the refreshed tiles are byte-identical to a from-scratch
+render. ``--tile-p99-budget-ms`` /
 ``--query-p99-budget-ms`` turn the latency percentiles into gates too.
 
 Run standalone (no pytest)::
@@ -92,8 +93,8 @@ def _grid_instance():
 
 
 def _dynamic_update_phase(server, recorder, checks, args) -> dict:
-    """Phase 5 — progressive placeholders + dirty-tile re-renders under
-    one localized dynamic update (see the module docstring)."""
+    """Phase 5 — a cold pan + dirty-tile re-renders under one localized
+    dynamic update (see the module docstring)."""
     conn = http.client.HTTPConnection(server.host, server.port, timeout=120)
     try:
         clients, facilities = _grid_instance()
@@ -110,39 +111,28 @@ def _dynamic_update_phase(server, recorder, checks, args) -> dict:
         z = args.tile_zoom
         n = 1 << z
         addresses = [(tx, ty) for ty in range(n) for tx in range(n)]
-        # Warm the coarser level for real: these are the ancestors the
-        # placeholder path upsamples from.
-        for ty in range(n // 2):
-            for tx in range(n // 2):
-                _request(conn, "GET",
-                         f"/tiles/{handle}/{z - 1}/{tx}/{ty}.png?placeholder=0")
 
-        # Cold pan at level z: every tile must answer instantly with a
-        # degraded placeholder (weak ETag + marker header).
+        # Cold pan at level z: every tile is the real render, answered
+        # under a strong ETag with no marker header.
         ttfts = []
-        all_marked = True
+        etags, tiles = {}, {}
+        all_strong = True
         for tx, ty in addresses:
             path = f"/tiles/{handle}/{z}/{tx}/{ty}.png"
             t0 = time.perf_counter()
-            with recorder.timing("placeholder"):
-                _s, _png, headers = _request(conn, "GET", path)
+            with recorder.timing("cold_tile"):
+                _s, png, headers = _request(conn, "GET", path)
             ttfts.append((time.perf_counter() - t0) * 1e3)
-            all_marked &= (
-                "X-Tile-Placeholder" in headers
-                and headers["ETag"].startswith('W/"')
-            )
-        checks["placeholder_all_marked"] = all_marked
-        checks["placeholder_ttft_under_budget"] = (
-            float(np.percentile(ttfts, 99)) < args.placeholder_ttft_budget_ms
-        )
-
-        # Converge every tile to full resolution and collect strong ETags.
-        etags, tiles = {}, {}
-        for tx, ty in addresses:
-            path = f"/tiles/{handle}/{z}/{tx}/{ty}.png?placeholder=0"
-            _s, png, headers = _request(conn, "GET", path)
             etags[(tx, ty)] = headers["ETag"]
             tiles[(tx, ty)] = png
+            all_strong &= (
+                "X-Tile-Placeholder" not in headers
+                and headers["ETag"].startswith('"')
+            )
+        checks["cold_tiles_strong_etag"] = all_strong
+        checks["cold_tile_ttft_under_budget"] = (
+            float(np.percentile(ttfts, 99)) < args.cold_tile_ttft_budget_ms
+        )
         _s, body, _ = _request(conn, "GET", "/stats")
         before = json.loads(body)["service"]
 
@@ -153,7 +143,7 @@ def _dynamic_update_phase(server, recorder, checks, args) -> dict:
         ]})
         n200 = n304 = 0
         for (tx, ty), etag in etags.items():
-            path = f"/tiles/{handle}/{z}/{tx}/{ty}.png?placeholder=0"
+            path = f"/tiles/{handle}/{z}/{tx}/{ty}.png"
             with recorder.timing("dirty_revalidate"):
                 s, png, headers = _request(
                     conn, "GET", path, headers={"If-None-Match": etag}
@@ -190,7 +180,7 @@ def _dynamic_update_phase(server, recorder, checks, args) -> dict:
         _poll_ready(conn, scratch)
         identical = True
         for tx, ty in addresses:
-            path = f"/tiles/{scratch}/{z}/{tx}/{ty}.png?placeholder=0"
+            path = f"/tiles/{scratch}/{z}/{tx}/{ty}.png"
             _s, png, _h = _request(conn, "GET", path)
             identical &= png == tiles[(tx, ty)]
         checks["incremental_tiles_match_scratch"] = identical
@@ -198,9 +188,8 @@ def _dynamic_update_phase(server, recorder, checks, args) -> dict:
         return {
             "tiles": len(addresses),
             "dirty_tiles": n200,
-            "placeholder_ttft_p99_ms": float(np.percentile(ttfts, 99)),
-            "placeholder_ttft_max_ms": max(ttfts),
-            "placeholders_served": after["placeholder_tiles"],
+            "cold_tile_ttft_p99_ms": float(np.percentile(ttfts, 99)),
+            "cold_tile_ttft_max_ms": max(ttfts),
         }
     finally:
         conn.close()
@@ -285,7 +274,7 @@ def run(args) -> dict:
         _s, body, _ = _request(setup, "GET", "/stats")
         stats = json.loads(body)
 
-        # Phase 5 — the progressive-serving + incremental-update gate
+        # Phase 5 — the cold-pan + incremental-update gate
         # (after the main stats snapshot so phases 1-4's self-checks stay
         # on their own counters).
         dynamic_update = _dynamic_update_phase(server, recorder, checks, args)
@@ -354,9 +343,9 @@ def main(argv=None) -> int:
     parser.add_argument("--probes", type=int, default=60_000)
     parser.add_argument("--executor-workers", type=int, default=8)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--placeholder-ttft-budget-ms", type=float,
+    parser.add_argument("--cold-tile-ttft-budget-ms", type=float,
                         default=100.0,
-                        help="hard ceiling on placeholder-tile p99 TTFT")
+                        help="hard ceiling on phase-5 cold-tile p99 TTFT")
     parser.add_argument("--tile-p99-budget-ms", type=float, default=None,
                         help="fail the run if tile p99 exceeds this")
     parser.add_argument("--query-p99-budget-ms", type=float, default=None,
@@ -394,9 +383,9 @@ def main(argv=None) -> int:
         print("  " + format_percentiles(kind, pcts))
     du = record["dynamic_update"]
     print(
-        f"progressive: {du['tiles']} cold tiles served as placeholders "
-        f"(ttft p99 {du['placeholder_ttft_p99_ms']:.2f}ms, max "
-        f"{du['placeholder_ttft_max_ms']:.2f}ms); one localized move "
+        f"cold pan: {du['tiles']} tiles rendered "
+        f"(ttft p99 {du['cold_tile_ttft_p99_ms']:.2f}ms, max "
+        f"{du['cold_tile_ttft_max_ms']:.2f}ms); one localized move "
         f"dirtied {du['dirty_tiles']} tiles"
     )
     print(

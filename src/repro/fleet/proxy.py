@@ -60,11 +60,7 @@ __all__ = ["FleetProxy", "FleetStats", "ReplicaError"]
 
 #: Response headers worth forwarding to the viewer (hop-by-hop and
 #: framing headers are re-derived by our own serializer).
-#: ``x-tile-placeholder`` marks progressive (degraded) tiles — the
-#: viewer needs it to know to revalidate into the real render.
-_FORWARD_RESPONSE_HEADERS = (
-    "etag", "location", "cache-control", "x-tile-placeholder",
-)
+_FORWARD_RESPONSE_HEADERS = ("etag", "location", "cache-control")
 
 #: Request headers worth forwarding to the replica.
 _FORWARD_REQUEST_HEADERS = ("content-type", "if-none-match", "accept")
@@ -95,9 +91,6 @@ class FleetStats:
     breaker_rejections: int = 0
     events_relayed: int = 0
     relays_open: int = 0
-    #: Tile responses relayed that a replica marked degraded
-    #: (``X-Tile-Placeholder``) — the fleet-wide progressive-serving rate.
-    placeholder_tiles_relayed: int = 0
 
     def as_dict(self) -> dict:
         """The counters as a plain dict (the ``/fleet/stats`` block)."""
@@ -778,14 +771,10 @@ class FleetProxy(BaseHTTPApp):
     ) -> Response:
         """Tiles shard on ``(handle, z, tx, ty)`` — one hot heat map
         spreads over the whole fleet, each tile staying cache-warm on its
-        owner.  Placeholder (degraded) tile responses pass through with
-        their marker header intact and are counted fleet-wide."""
-        response = await self._route(
+        owner."""
+        return await self._route(
             request, handle, key=tile_key(handle, z, tx, ty)
         )
-        if response.headers.get("X-Tile-Placeholder"):
-            self.fleet_stats.placeholder_tiles_relayed += 1
-        return response
 
     # ------------------------------------------------------------------
     # Event relay

@@ -88,7 +88,6 @@ from .wire import (
     decode_updates,
     handle_vmax,
     json_response,
-    placeholder_tile_etag,
     render_tile_png,
     tile_etag,
 )
@@ -565,19 +564,12 @@ class HeatMapHTTPApp(BaseHTTPApp):
         #: etag -> encoded PNG bytes; strong ETags name exact bytes, so a
         #: hit skips the colormap + zlib encode on warm tile fetches.
         #: Purged in lockstep with the tile cache via the service's
-        #: ``on_tiles_dropped`` hook (placeholder PNGs are never cached).
+        #: ``on_tiles_dropped`` hook.
         self._png_cache = LRUCache(max(64, max_png_tiles))
-        #: In-flight background (post-placeholder) tile renders, keyed by
-        #: (handle, z, tx, ty, size) — one spawn per cold address.
-        self._bg_renders: "dict[tuple, asyncio.Task]" = {}
-        #: Tile-serving counters; their own lock because the purge hook
+        #: PNGs purged by the drop hook; its own lock because the hook
         #: fires on executor threads, unlike the loop-confined HTTPStats.
-        self._tile_lock = threading.Lock()
-        self._tile_counters = {
-            "png_purged": 0,
-            "placeholders_served": 0,
-            "background_renders": 0,
-        }
+        self._png_lock = threading.Lock()
+        self._png_purged = 0
         self.service.service.on_tiles_dropped = self._on_tiles_dropped
         self.router.add("GET", "/healthz", self._handle_healthz)
         self.router.add("GET", "/stats", self._handle_stats)
@@ -662,27 +654,25 @@ class HeatMapHTTPApp(BaseHTTPApp):
 
         purged = self._png_cache.purge(doomed)
         if purged:
-            with self._tile_lock:
-                self._tile_counters["png_purged"] += purged
+            with self._png_lock:
+                self._png_purged += purged
 
     async def _handle_stats(self, request: Request) -> Response:
         """The full observability surface in one document.
 
         ``service`` is :meth:`HeatMapService.stats_snapshot` (cache +
         coalescing counters), ``http`` the edge counters, ``latency`` the
-        per-endpoint percentile records, ``tiles`` the progressive-tile
-        surface (PNG-cache population and purges, placeholders served,
-        background renders spawned).
+        per-endpoint percentile records, ``tiles`` the encoded-PNG cache
+        (population and purges).
         """
-        with self._tile_lock:
-            tiles = dict(self._tile_counters)
-        tiles["png_cache_entries"] = len(self._png_cache)
-        tiles["background_renders_inflight"] = len(self._bg_renders)
         return json_response({
             "service": self.service.stats_snapshot(),
             "http": self.http_stats.as_dict(),
             "latency": self.latency.snapshot(),
-            "tiles": tiles,
+            "tiles": {
+                "png_purged": self._png_purged,
+                "png_cache_entries": len(self._png_cache),
+            },
         })
 
     async def _handle_openapi(self, request: Request) -> Response:
@@ -748,10 +738,8 @@ class HeatMapHTTPApp(BaseHTTPApp):
             raise HTTPError(400, f"metric must be one of {_METRICS}")
         try:
             k = int(payload.get("k", 1))
-            workers = payload.get("workers")
-            workers = None if workers is None else int(workers)
         except (TypeError, ValueError):
-            raise HTTPError(400, '"k" and "workers" must be integers') from None
+            raise HTTPError(400, '"k" must be an integer') from None
         if k < 1:
             raise HTTPError(400, '"k" must be >= 1')
         # Engine knobs ride in explicitly; which engines accept them is the
@@ -774,7 +762,6 @@ class HeatMapHTTPApp(BaseHTTPApp):
             "algorithm": str(payload.get("algorithm", "crest")).lower(),
             "monochromatic": cls._bool_field(payload, "monochromatic"),
             "k": k,
-            "workers": workers,
             "engine_options": engine_options or None,
         }
 
@@ -839,8 +826,7 @@ class HeatMapHTTPApp(BaseHTTPApp):
                 clients, facilities, metric=params["metric"],
                 algorithm=params["algorithm"],
                 monochromatic=params["monochromatic"], k=params["k"],
-                workers=params["workers"], fingerprint=handle,
-                engine_options=params["engine_options"],
+                fingerprint=handle, engine_options=params["engine_options"],
             )
         except asyncio.CancelledError:
             self._record_build(handle, "failed", "cancelled")
@@ -1049,34 +1035,6 @@ class HeatMapHTTPApp(BaseHTTPApp):
             "stale": dyn.dirty,
         })
 
-    def _spawn_tile_render(
-        self, handle: str, z: int, tx: int, ty: int, size: int
-    ) -> None:
-        """Kick the real render for a placeholder-answered tile.
-
-        Deduped per tile address, so a storm of placeholder responses
-        costs one background render (which itself coalesces with any
-        foreground fetch of the same tile).  Failures are swallowed —
-        the next non-placeholder fetch will surface them; cancellation
-        on shutdown is clean (the task is loop-owned).
-        """
-        key = (handle, z, tx, ty, size)
-        if self._draining or key in self._bg_renders:
-            return
-        task = asyncio.create_task(
-            self.service.tile(handle, z, tx, ty, tile_size=size)
-        )
-        self._bg_renders[key] = task
-
-        def reap(t: asyncio.Task, key=key) -> None:
-            self._bg_renders.pop(key, None)
-            if not t.cancelled():
-                t.exception()  # consume; the foreground path re-raises
-
-        task.add_done_callback(reap)
-        with self._tile_lock:
-            self._tile_counters["background_renders"] += 1
-
     async def _handle_tile(
         self, request: Request, handle: str, z: int, tx: int, ty: int
     ) -> Response:
@@ -1085,13 +1043,7 @@ class HeatMapHTTPApp(BaseHTTPApp):
         ``If-None-Match`` against the current ETag short-circuits to 304
         before any render; otherwise the fetch coalesces with every other
         cold request for the same tile and the PNG is encoded off-loop.
-
-        When the tile is cold but a coarser zoom of it is cached, the
-        response is an instant crop+upsampled *placeholder* — marked by
-        the ``X-Tile-Placeholder`` header (the source zoom) and a weak
-        ETag — while the real render is kicked off in the background;
-        revalidation with the weak ETag converges on the real tile.
-        ``?placeholder=0`` opts a request out (always the real tile).
+        Every 200 is the real render under its strong ETag.
         """
         if not 0 <= z <= _MAX_TILE_ZOOM:
             raise HTTPError(400, f"z must be in [0, {_MAX_TILE_ZOOM}]")
@@ -1126,39 +1078,12 @@ class HeatMapHTTPApp(BaseHTTPApp):
         tile_gen = self.service.service.tile_generation(handle, z, tx, ty)
         etag = tile_etag(handle, z, tx, ty, size, cmap, vmax, tile_gen)
         if_none_match = request.headers.get("if-none-match", "")
-        inm = {t.strip() for t in if_none_match.split(",")}
-        if etag in inm:
+        if etag in {t.strip() for t in if_none_match.split(",")}:
             return Response(status=304, headers={"ETag": etag})
         # A strong ETag names the exact bytes: warm fetches skip both the
         # grid lookup and the colormap+zlib encode.
         png = self._png_cache.get(etag)
         if png is None:
-            want_placeholder = z > 0 and request.query.get(
-                "placeholder", "1"
-            ).lower() not in ("0", "false", "no")
-            if want_placeholder:
-                ph = await self.service.placeholder_tile(
-                    handle, z, tx, ty, tile_size=size
-                )
-                if ph is not None:
-                    grid, _bounds, source_z = ph
-                    weak = placeholder_tile_etag(etag, source_z)
-                    self._spawn_tile_render(handle, z, tx, ty, size)
-                    headers = {
-                        "ETag": weak,
-                        "Cache-Control": "no-cache",
-                        "X-Tile-Placeholder": str(source_z),
-                    }
-                    if weak in inm:
-                        # Still cold: the degraded bytes the client holds
-                        # are still the best instant answer.
-                        return Response(status=304, headers=headers)
-                    body = await self._run(render_tile_png, grid, cmap, vmax)
-                    with self._tile_lock:
-                        self._tile_counters["placeholders_served"] += 1
-                    return Response(
-                        body=body, content_type="image/png", headers=headers
-                    )
             grid, _bounds = await self.service.tile(
                 handle, z, tx, ty, tile_size=size
             )

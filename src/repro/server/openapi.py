@@ -339,12 +339,9 @@ SPEC = {
                     "corner. The ETag carries a per-tile generation: a "
                     "partial invalidation bumps only the tiles it touched, "
                     "so clean tiles keep revalidating 304 across localized "
-                    "updates. A cold tile with a warm coarser ancestor is "
-                    "served progressively by default: an instant degraded "
-                    "upsample marked X-Tile-Placeholder with a weak ETag, "
-                    "while the real render proceeds in the background "
-                    "(opt out with placeholder=0). Concurrent cold requests "
-                    "for one tile coalesce onto a single render."
+                    "updates. Every pixel is the heat POST /query answers "
+                    "at the pixel's centre. Concurrent cold requests for "
+                    "one tile coalesce onto a single render."
                 ),
                 "operationId": "tile",
                 "parameters": [
@@ -396,19 +393,6 @@ SPEC = {
                         ),
                         "schema": {"type": "number"},
                     },
-                    {
-                        "name": "placeholder",
-                        "in": "query",
-                        "required": False,
-                        "description": (
-                            "Set to 0 to disable progressive serving and "
-                            "always wait for the full-resolution render."
-                        ),
-                        "schema": {
-                            "type": "string",
-                            "enum": ["0", "1", "false", "no", "true", "yes"],
-                        },
-                    },
                     _XDEADLINE_PARAM,
                 ],
                 "responses": {
@@ -416,18 +400,7 @@ SPEC = {
                         "description": "The rendered tile",
                         "headers": {
                             "ETag": {
-                                "description": (
-                                    "Strong per-tile validator; weak "
-                                    "(W/-prefixed) for placeholder tiles."
-                                ),
-                                "schema": {"type": "string"},
-                            },
-                            "X-Tile-Placeholder": {
-                                "description": (
-                                    "Present on degraded placeholder tiles: "
-                                    "the zoom level of the cached ancestor "
-                                    "the stand-in was upsampled from."
-                                ),
+                                "description": "Strong per-tile validator.",
                                 "schema": {"type": "string"},
                             },
                         },
@@ -556,16 +529,12 @@ SPEC = {
                     "tiles": {
                         "type": "object",
                         "description": (
-                            "Progressive-serving counters: png_purged, "
-                            "placeholders_served, background_renders, "
-                            "png_cache_entries, background_renders_inflight"
+                            "Encoded-PNG cache counters: png_purged, "
+                            "png_cache_entries"
                         ),
                         "properties": {
                             "png_purged": {"type": "integer"},
-                            "placeholders_served": {"type": "integer"},
-                            "background_renders": {"type": "integer"},
                             "png_cache_entries": {"type": "integer"},
-                            "background_renders_inflight": {"type": "integer"},
                         },
                     },
                 },
@@ -596,7 +565,6 @@ SPEC = {
                     "algorithm": {"type": "string"},
                     "k": {"type": "integer", "minimum": 1},
                     "monochromatic": {"type": "boolean"},
-                    "workers": {"type": "integer"},
                     "dynamic": {"type": "boolean"},
                     "rebuild": {
                         "type": "string",
@@ -738,7 +706,7 @@ SPEC = {
                         "description": (
                             "The coordinator's own HTTP + routing counters "
                             "(routed, fanouts, failovers, replica_errors, "
-                            "events_relayed, placeholder_tiles_relayed)"
+                            "events_relayed)"
                         ),
                     },
                     "ring": {

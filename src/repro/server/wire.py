@@ -216,19 +216,6 @@ def handle_vmax(max_heat: float) -> float:
     return top if math.isfinite(top) else 0.0
 
 
-def placeholder_tile_etag(etag: str, source_z: int) -> str:
-    """The weak ETag for a placeholder (degraded) tile representation.
-
-    Derived from the real tile's strong ETag plus the source zoom the
-    placeholder was upsampled from.  Weak (``W/`` prefix) because the
-    bytes are *not* the tile's canonical representation: caches may
-    reuse it, but a conditional fetch carrying it revalidates into the
-    real tile (200 with the strong ETag) as soon as the background
-    render lands — or 304 only while the tile is still cold.
-    """
-    return f'W/{etag[:-1]}.ph{int(source_z)}"'
-
-
 def render_tile_png(grid: np.ndarray, cmap: str, vmax: "float | None") -> bytes:
     """A heat grid -> deterministic PNG bytes under a named colormap.
 

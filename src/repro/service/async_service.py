@@ -394,30 +394,6 @@ class AsyncHeatMapService:
             self._inflight_tiles, key, handle, call, "coalesced_tiles"
         )
 
-    async def placeholder_tile(
-        self,
-        handle: str,
-        z: int,
-        tx: int,
-        ty: int,
-        *,
-        tile_size: "int | None" = None,
-    ):
-        """A degraded stand-in grid for a cold tile, or ``None``.
-
-        Off-loop passthrough to
-        :meth:`HeatMapService.placeholder_tile` — a cheap indexed gather
-        from a cached coarser-zoom ancestor, never a render.  It does
-        not coalesce and does not wait on in-flight renders: the point
-        is an instant (degraded) answer while :meth:`tile` proceeds.
-        """
-        def call():
-            return self.service.placeholder_tile(
-                handle, z, tx, ty, tile_size=tile_size
-            )
-
-        return await self._run(call)
-
     async def viewport(
         self,
         handle: str,

@@ -64,17 +64,6 @@ class LRUCache:
             self.hits += 1
             return value
 
-    def peek(self, key: Hashable, default=None):
-        """The cached value without touching recency or the counters.
-
-        For advisory probes — "would this key hit?" — that must not
-        distort the LRU order or the hit/miss statistics the real
-        serving path reports.
-        """
-        with self._lock:
-            value = self._data.get(key, _MISSING)
-            return default if value is _MISSING else value
-
     def put(self, key: Hashable, value) -> "list[tuple[Hashable, object]]":
         """Insert/refresh an entry; returns any evicted (key, value) pairs."""
         with self._lock:

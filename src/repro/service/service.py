@@ -33,9 +33,6 @@ requests across executor threads:
   are dropped; a render that raced an invalidation sees the bump and
   declines to cache its (now possibly stale) grid.
 
-A cold tile whose coarser-zoom ancestor is cached can be answered
-instantly with a cropped+upsampled *placeholder*
-(:meth:`HeatMapService.placeholder_tile`) while the real render proceeds.
 ETags live on a finer axis than the race-guard generation:
 :meth:`HeatMapService.tile_generation` bumps only for tiles a partial
 invalidation actually dirtied, so clean tiles keep revalidating 304
@@ -168,9 +165,6 @@ class ServiceStats:
     #: Retired (dirty tiles now re-render from scratch); always 0, kept
     #: so ``/stats`` consumers find the key.
     tile_rerenders_partial: int = 0
-    #: Cold tiles answered instantly by cropping+upsampling a cached
-    #: coarser-zoom ancestor while the real render proceeds elsewhere.
-    placeholder_tiles: int = 0
     demotions: int = 0
     promotions: int = 0
     #: Cold builds written through to the store at build time (fleet /
@@ -792,49 +786,6 @@ class HeatMapService:
             if self.generation(handle) == generation:
                 self._tiles.put(key, (grid, bounds))
             return grid, bounds
-
-    def placeholder_tile(
-        self,
-        handle: str,
-        z: int,
-        tx: int,
-        ty: int,
-        *,
-        tile_size: "int | None" = None,
-    ) -> "tuple[np.ndarray, Rect, int] | None":
-        """A degraded stand-in grid for a cold tile, served instantly.
-
-        When tile ``(z, tx, ty)`` is not cached but a coarser-zoom
-        ancestor is, crop the covering ``1/2^dz`` portion of the nearest
-        cached ancestor and upsample it (nearest-neighbor at pixel
-        centers) to full tile size — no rasterization, just an indexed
-        gather.  Returns ``(grid, bounds, source_z)`` or ``None`` when
-        the real tile is already cached (serve that) or no ancestor is
-        cached.  Never renders and never touches the tile cache's LRU
-        order, so it is safe to call opportunistically on the hot path.
-        """
-        size = self.tile_size if tile_size is None else int(tile_size)
-        entry = self._entry(handle)
-        key = (handle, z, tx, ty, size)
-        if self._tiles.peek(key) is not None:
-            return None
-        bounds = tile_bounds(entry.world, z, tx, ty)
-        for dz in range(1, z + 1):
-            az, atx, aty = z - dz, tx >> dz, ty >> dz
-            cached = self._tiles.peek((handle, az, atx, aty, size))
-            if cached is None:
-                continue
-            agrid, _arect = cached
-            n = 1 << dz
-            fx, fy = tx - (atx << dz), ty - (aty << dz)
-            # Ancestor texel under each output pixel center.
-            u = (fx + (np.arange(size) + 0.5) / size) / n
-            v = (fy + (np.arange(size) + 0.5) / size) / n
-            cols = np.minimum((u * size).astype(int), size - 1)
-            rows = np.minimum((v * size).astype(int), size - 1)
-            self.stats.inc("placeholder_tiles")
-            return agrid[np.ix_(rows, cols)], bounds, az
-        return None
 
     def viewport(
         self,

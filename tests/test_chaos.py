@@ -152,14 +152,9 @@ def test_2xx_responses_match_oracle_under_injected_faults(tmp_path):
     with ThreadedHTTPServer(tile_size=TILE_SIZE, max_tiles=512) as oracle:
         golden_handle = _build(oracle.url, clients, facilities)
         golden = {}
-        # ?placeholder=0 everywhere bytes are compared: progressive
-        # placeholder tiles are legitimately degraded (and marked so),
-        # which would make a multi-zoom pan's bytes depend on cache
-        # timing — this gate is about fault-injection determinism.
         for z, tx, ty in TILES:
             s, png, _h = _req(
-                f"{oracle.url}/tiles/{golden_handle}/{z}/{tx}/{ty}.png"
-                "?placeholder=0")
+                f"{oracle.url}/tiles/{golden_handle}/{z}/{tx}/{ty}.png")
             assert s == 200
             golden[(z, tx, ty)] = png
         probes = np.random.default_rng(SEED + 1).random((30, 2)).tolist()
@@ -185,7 +180,7 @@ def test_2xx_responses_match_oracle_under_injected_faults(tmp_path):
         successes = attempts = 0
         for _round in range(2):
             for z, tx, ty in TILES:
-                path = f"/tiles/{handle}/{z}/{tx}/{ty}.png?placeholder=0"
+                path = f"/tiles/{handle}/{z}/{tx}/{ty}.png"
                 for _try in range(4):
                     attempts += 1
                     status, png, _h = _req(fleet.url + path)
@@ -343,7 +338,7 @@ def test_crash_restart_hot_rejoin_and_one_sweep_per_fingerprint(tmp_path):
         golden = {}
         for z, tx, ty in TILES:
             s, png, _h = _req(
-                f"{fleet.url}/tiles/{handle}/{z}/{tx}/{ty}.png?placeholder=0")
+                f"{fleet.url}/tiles/{handle}/{z}/{tx}/{ty}.png")
             assert s == 200
             golden[(z, tx, ty)] = png
         assert fleet.fleet_stats()["fleet"]["builds"] == 1
@@ -355,7 +350,7 @@ def test_crash_restart_hot_rejoin_and_one_sweep_per_fingerprint(tmp_path):
         # from the moment the replica dies (failover) through ejection.
         for z, tx, ty in TILES:
             status, png, _h = _req(
-                f"{fleet.url}/tiles/{handle}/{z}/{tx}/{ty}.png?placeholder=0")
+                f"{fleet.url}/tiles/{handle}/{z}/{tx}/{ty}.png")
             assert status == 200
             assert png == golden[(z, tx, ty)]
 
@@ -398,7 +393,7 @@ def test_crash_restart_hot_rejoin_and_one_sweep_per_fingerprint(tmp_path):
         assert all(r["reachable"] for r in stats["replicas"])
         for z, tx, ty in TILES:
             status, png, _h = _req(
-                f"{fleet.url}/tiles/{handle}/{z}/{tx}/{ty}.png?placeholder=0")
+                f"{fleet.url}/tiles/{handle}/{z}/{tx}/{ty}.png")
             assert status == 200 and png == golden[(z, tx, ty)]
     finally:
         fleet.close()
@@ -413,7 +408,7 @@ def test_breaker_opens_on_dead_replica_without_health_monitor(tmp_path):
         golden = {}
         for z, tx, ty in TILES:
             _s, png, _h = _req(
-                f"{fleet.url}/tiles/{handle}/{z}/{tx}/{ty}.png?placeholder=0")
+                f"{fleet.url}/tiles/{handle}/{z}/{tx}/{ty}.png")
             golden[(z, tx, ty)] = png
 
         ring = HashRing(fleet.addresses, vnodes=VNODES)
@@ -425,8 +420,7 @@ def test_breaker_opens_on_dead_replica_without_health_monitor(tmp_path):
         for _round in range(3):
             for z, tx, ty in TILES:
                 status, png, _h = _req(
-                    f"{fleet.url}/tiles/{handle}/{z}/{tx}/{ty}.png"
-                    "?placeholder=0")
+                    f"{fleet.url}/tiles/{handle}/{z}/{tx}/{ty}.png")
                 assert status == 200
                 assert png == golden[(z, tx, ty)]
 

@@ -278,10 +278,7 @@ def test_fleet_serves_identical_bytes_to_single_server(fleet, single):
     owners = set()
     ring = HashRing(fleet.addresses, vnodes=VNODES)
     for z, tx, ty in tiles:
-        # ?placeholder=0: a multi-zoom pan would otherwise get (marked)
-        # degraded placeholder tiles wherever an ancestor happens to be
-        # cached, which differs between one server and a sharded fleet.
-        path = f"/tiles/{h_fleet}/{z}/{tx}/{ty}.png?placeholder=0"
+        path = f"/tiles/{h_fleet}/{z}/{tx}/{ty}.png"
         s1, fleet_png, fleet_headers = _get(fleet.url + path)
         s2, single_png, single_headers = _get(single.url + path)
         assert s1 == s2 == 200
@@ -298,26 +295,6 @@ def test_fleet_serves_identical_bytes_to_single_server(fleet, single):
         _s, b = _post(f"{single.url}/query/{h_single}",
                       {"kind": kind, "points": probes})
         assert a == b
-
-
-def test_proxy_relays_placeholder_tiles(fleet):
-    """A degraded placeholder response passes through the proxy with its
-    marker header and weak ETag intact, and is counted fleet-wide."""
-    clients, facilities = _instance()
-    dataset = {"clients": clients.tolist(), "facilities": facilities.tolist()}
-    h = _build(fleet.url, dataset, {"metric": "linf"})
-    # Warm the root on every replica directly, so whichever node owns a
-    # deeper tile has a cached ancestor to upsample from.
-    for srv in fleet.replicas:
-        s, _b, _h = _get(f"{srv.url}/tiles/{h}/0/0/0.png?placeholder=0")
-        assert s == 200
-    before = fleet.fleet_stats()["proxy"]["routing"]["placeholder_tiles_relayed"]
-    status, _png, headers = _get(fleet.url + f"/tiles/{h}/1/0/1.png")
-    assert status == 200
-    assert headers["X-Tile-Placeholder"] == "0"
-    assert headers["ETag"].startswith('W/"')
-    after = fleet.fleet_stats()["proxy"]["routing"]["placeholder_tiles_relayed"]
-    assert after == before + 1
 
 
 def test_build_storm_sweeps_exactly_once_fleet_wide(fleet):
@@ -409,7 +386,7 @@ def test_tiles_survive_replica_death_via_ring_failover(tmp_path_factory):
         golden = {}
         for z, tx, ty in tiles:
             _s, png, _h = _get(
-                f"{fleet.url}/tiles/{handle}/{z}/{tx}/{ty}.png?placeholder=0")
+                f"{fleet.url}/tiles/{handle}/{z}/{tx}/{ty}.png")
             golden[(z, tx, ty)] = png
 
         ring = HashRing(fleet.addresses, vnodes=VNODES)
@@ -421,7 +398,7 @@ def test_tiles_survive_replica_death_via_ring_failover(tmp_path_factory):
 
         for z, tx, ty in tiles:
             status, png, _h = _get(
-                f"{fleet.url}/tiles/{handle}/{z}/{tx}/{ty}.png?placeholder=0"
+                f"{fleet.url}/tiles/{handle}/{z}/{tx}/{ty}.png"
             )
             assert status == 200
             assert png == golden[(z, tx, ty)]

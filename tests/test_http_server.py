@@ -236,8 +236,8 @@ def test_default_colour_scale_is_per_handle(server, handle):
     assert rows.any()
     # PNGs are top-down; flip back to raster rows (row 0 = bottom).
     base = f"{server.url}/tiles/{handle}/2"
-    _s, png_l, h_l = _get(f"{base}/0/1.png?placeholder=0")
-    _s, png_r, _ = _get(f"{base}/1/1.png?placeholder=0")
+    _s, png_l, h_l = _get(f"{base}/0/1.png")
+    _s, png_r, _ = _get(f"{base}/1/1.png")
     img_l, img_r = decode_png(png_l)[::-1], decode_png(png_r)[::-1]
     np.testing.assert_array_equal(img_l[rows, -1], img_r[rows, 0])
     # The resolved scale names the bytes: it is the one in the ETag.
@@ -282,10 +282,7 @@ def test_query_answers_match_library(server, handle):
 # Protocol behavior
 # ----------------------------------------------------------------------
 def test_etag_revalidation_304(server, handle):
-    # ?placeholder=0: this test pins the *strong*-ETag contract; with
-    # progressive serving on, a cold tile under a cached ancestor would
-    # answer with a weak placeholder ETag first.
-    url = f"{server.url}/tiles/{handle}/1/1/1.png?placeholder=0"
+    url = f"{server.url}/tiles/{handle}/1/1/1.png"
     _s, png, headers = _get(url)
     etag = headers["ETag"]
     with pytest.raises(urllib.error.HTTPError) as exc:
@@ -302,14 +299,14 @@ def test_head_serves_headers_without_body(server, handle):
     tile — and that ETag must revalidate a subsequent conditional GET."""
     conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
     try:
-        conn.request("HEAD", f"/tiles/{handle}/1/0/0.png?placeholder=0")
+        conn.request("HEAD", f"/tiles/{handle}/1/0/0.png")
         resp = conn.getresponse()
         body = resp.read()
         assert resp.status == 200
         assert body == b""
         assert int(resp.headers["Content-Length"]) > 0
         etag = resp.headers["ETag"]
-        conn.request("GET", f"/tiles/{handle}/1/0/0.png?placeholder=0",
+        conn.request("GET", f"/tiles/{handle}/1/0/0.png",
                      headers={"If-None-Match": etag})
         resp = conn.getresponse()
         resp.read()
@@ -483,70 +480,70 @@ def test_partial_update_preserves_clean_tile_etags(server):
     assert stats["service"]["tile_renders"] == renders_before + n200
 
 
-def test_progressive_placeholder_tile_serving():
-    """The progressive-serving contract: a cold tile with a warm coarser
-    ancestor returns an instant degraded stand-in (weak ETag, marker
-    header) and converges to the real render in the background."""
+def test_default_tile_fetch_is_the_real_render():
+    """Every tile response is the real render: with the root warm, each
+    cold z=1 and z=2 tile answers 200 under a strong ETag with the same
+    bytes a fresh server renders for it.  ``?placeholder=0``, which
+    older clients send, is ignored like any other unknown parameter."""
     clients, facilities = _instance()
+    dataset = {"clients": clients.tolist(), "facilities": facilities.tolist()}
+    tiles = [(z, tx, ty) for z in (1, 2)
+             for tx in range(2 ** z) for ty in range(2 ** z)]
+
+    def build(url):
+        _s, ds = _post(url + "/datasets", dataset)
+        _s, kicked = _post(url + "/build", {"dataset": ds["dataset"]})
+        _poll_ready(url, kicked["handle"])
+        return f"{url}/tiles/{kicked['handle']}"
+
+    # The reference: each tile fetched cold, finest level first, so no
+    # tile is ever requested while a coarser one over it is cached.
+    reference = {}
+    with ThreadedHTTPServer(tile_size=16) as fresh:
+        base = build(fresh.url)
+        for z, tx, ty in reversed(tiles):
+            _s, png, headers = _get(f"{base}/{z}/{tx}/{ty}.png")
+            reference[(z, tx, ty)] = png, headers["ETag"]
+
     with ThreadedHTTPServer(tile_size=16) as srv:
-        _s, ds = _post(srv.url + "/datasets", {
-            "clients": clients.tolist(), "facilities": facilities.tolist(),
-        })
-        _s, kicked = _post(srv.url + "/build", {"dataset": ds["dataset"]})
-        handle = kicked["handle"]
-        _poll_ready(srv.url, handle)
-        base = f"{srv.url}/tiles/{handle}"
-
-        # A cold fetch with no cached ancestor renders for real.
-        _s, root_png, root_headers = _get(base + "/0/0/0.png")
-        assert "X-Tile-Placeholder" not in root_headers
-        assert not root_headers["ETag"].startswith("W/")
-
-        # Now the root is warm: a cold child is served degraded.
-        status, ph_png, headers = _get(base + "/1/1/1.png")
+        base = build(srv.url)
+        status, _png, _h = _get(base + "/0/0/0.png")
         assert status == 200
-        assert headers["X-Tile-Placeholder"] == "0"
-        weak = headers["ETag"]
-        assert weak.startswith('W/"') and weak.endswith('"')
-        assert headers["Cache-Control"] == "no-cache"
-        assert ph_png != root_png
-
-        # Revalidating with the weak ETag either hits 304 (tile still
-        # cold) or the background render already landed (strong 200).
-        try:
-            status, _b, h2 = _get(base + "/1/1/1.png",
-                                  headers={"If-None-Match": weak})
-        except urllib.error.HTTPError as exc:
-            status, h2 = exc.code, dict(exc.headers)
-        assert status in (200, 304)
-        if status == 200:
-            assert "X-Tile-Placeholder" not in h2
-
-        # The background render converges: poll until the response is the
-        # real tile, which must match an explicit placeholder opt-out.
-        deadline = time.time() + 30
-        while True:
-            _s, real_png, h3 = _get(base + "/1/1/1.png")
-            if "X-Tile-Placeholder" not in h3:
-                break
-            assert time.time() < deadline, "background render never landed"
-            time.sleep(0.02)
-        assert not h3["ETag"].startswith("W/")
-        _s, opted, h4 = _get(base + "/1/1/1.png?placeholder=0")
-        assert opted == real_png
-        assert h4["ETag"] == h3["ETag"]
-
-        # Opting out on a still-cold sibling renders synchronously.
-        _s, _b, h5 = _get(base + "/1/0/1.png?placeholder=0")
-        assert "X-Tile-Placeholder" not in h5
-        assert not h5["ETag"].startswith("W/")
-
+        for z, tx, ty in tiles:
+            url = f"{base}/{z}/{tx}/{ty}.png"
+            status, png, headers = _get(url)
+            assert status == 200
+            assert "X-Tile-Placeholder" not in headers
+            etag = headers["ETag"]
+            assert etag.startswith('"') and etag.endswith('"')
+            assert (png, etag) == reference[(z, tx, ty)], f"{z}/{tx}/{ty}"
+            _s, opted, h_opted = _get(url + "?placeholder=0")
+            assert (opted, h_opted["ETag"]) == (png, etag)
         _s, body, _ = _get(srv.url + "/stats")
         tiles_block = json.loads(body)["tiles"]
-        assert tiles_block["placeholders_served"] >= 1
-        assert tiles_block["background_renders"] >= 1
-        assert "png_cache_entries" in tiles_block
-        assert "background_renders_inflight" in tiles_block
+        assert set(tiles_block) == {"png_purged", "png_cache_entries"}
+
+
+def test_build_body_cannot_set_worker_processes():
+    """``workers`` is not a build field: a request carrying one sweeps
+    in-process, so no client can fork the server's worker pool."""
+    from repro.parallel import close_pool, pool_stats
+
+    rng = np.random.default_rng(SEED + 5)
+    close_pool()
+    with ThreadedHTTPServer(tile_size=16) as srv:
+        _s, ds = _post(srv.url + "/datasets", {
+            "clients": rng.random((60, 2)).tolist(),
+            "facilities": rng.random((10, 2)).tolist(),
+        })
+        _s, kicked = _post(srv.url + "/build", {
+            "dataset": ds["dataset"], "workers": 3,
+        })
+        handle = kicked["handle"]
+        assert _poll_ready(srv.url, handle)["status"] == "ready"
+        _s, got = _post(f"{srv.url}/query/{handle}", {"kind": "top-k", "k": 3})
+        assert len(got["heats"]) == 3
+        assert pool_stats()["alive"] is False
 
 
 def test_evicted_build_reports_evicted_not_ready():

@@ -179,44 +179,6 @@ class TestTiles:
         service.viewport(h, 1, service.world(h))
         assert service.stats.tile_renders == renders
 
-    def test_placeholder_upsamples_cached_ancestor(self, service, instance):
-        """A cold tile with a warm coarser ancestor gets a degraded
-        stand-in: the ancestor's quadrant, nearest-neighbour upsampled."""
-        O, F = instance
-        h = service.build(O, F, metric="linf")
-        agrid, _ = service.tile(h, 0, 0, 0)  # warm the root
-        renders = service.stats.tile_renders
-
-        ph = service.placeholder_tile(h, 1, 1, 1)
-        assert ph is not None
-        grid, bounds, source_z = ph
-        assert source_z == 0
-        assert bounds == tile_bounds(service.world(h), 1, 1, 1)
-        assert grid.shape == agrid.shape
-        # Tile (1, 1, 1) is the upper-right quadrant of the root: every
-        # placeholder pixel is the nearest ancestor pixel of that quadrant.
-        size = agrid.shape[0]
-        idx = size // 2 + np.arange(size) // 2
-        np.testing.assert_array_equal(grid, agrid[np.ix_(idx, idx)])
-        # The probe never renders and never mutates the cached ancestor.
-        assert service.stats.tile_renders == renders
-        assert service.stats.placeholder_tiles == 1
-        assert grid is not agrid
-
-    def test_placeholder_declines_when_unhelpful(self, service, instance):
-        """No ancestor cached, the tile itself cached, or the root tile:
-        the placeholder probe returns ``None`` instead of guessing."""
-        O, F = instance
-        h = service.build(O, F, metric="linf")
-        assert service.placeholder_tile(h, 0, 0, 0) is None  # root: no coarser level
-        assert service.placeholder_tile(h, 2, 1, 1) is None  # nothing cached yet
-        service.tile(h, 2, 1, 1)
-        assert service.placeholder_tile(h, 2, 1, 1) is None  # already warm
-        # Warming the root makes a distant descendant serveable (dz=2).
-        service.tile(h, 0, 0, 0)
-        ph = service.placeholder_tile(h, 2, 3, 0)
-        assert ph is not None and ph[2] == 0
-
     def test_world_bounds_l1_original_frame(self, rng):
         """For L1 the world is in original coordinates, not the rotated
         internal frame — tiles must be requestable in user space."""
@@ -437,17 +399,3 @@ class TestLRUCache:
     def test_maxsize_validation(self):
         with pytest.raises(ValueError):
             LRUCache(0)
-
-    def test_peek_is_side_effect_free(self):
-        """``peek`` must not refresh recency or move the hit/miss
-        counters — it is an advisory probe, not a read."""
-        c = LRUCache(2)
-        c.put("a", 1)
-        c.put("b", 2)
-        assert c.peek("a") == 1
-        assert c.peek("nope") is None
-        assert c.peek("nope", default="d") == "d"
-        assert c.hits == 0 and c.misses == 0
-        # "a" was peeked, not read: it is still the LRU entry.
-        evicted = c.put("c", 3)
-        assert evicted == [("a", 1)]
