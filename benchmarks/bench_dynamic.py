@@ -1,35 +1,44 @@
-"""Benchmark: incremental dirty-band re-sweeps vs full rebuilds.
+"""Benchmark: dynamic heat-map rebuilds, every answer checked by brute force.
 
 The paper's 'clients move around' scenario: a ``DynamicHeatMap`` absorbs a
-stream of single-client moves.  A full rebuild re-sweeps the whole plane
-per tick; the incremental engine re-sweeps only the dirty x-band around the
-moved client's old+new NN-circles and splices the fresh fragments into the
-retained subdivision.  This script times both policies on identical update
-streams, verifies their answers stay identical, and reports the speedup.
+stream of single-client moves.  Under the size measure each rebuild is an
+NN-circle surface over the current circles (no sweep), so a move costs
+the NN update plus one grid index.  This script times each move's
+``result()`` and checks heat and RNN answers at ``--probes`` random points
+against brute force over freshly computed NN radii of the current points.
 
 Run standalone (no pytest)::
 
     PYTHONPATH=src python benchmarks/bench_dynamic.py
     PYTHONPATH=src python benchmarks/bench_dynamic.py \\
-        --clients 300 --facilities 60 --moves 3 --probes 1000   # CI smoke
+        --clients 600 --facilities 80 --metric linf \\
+        --moves 3 --probes 2000                                    # CI smoke
     PYTHONPATH=src python benchmarks/bench_dynamic.py --json BENCH_dynamic.json
 
-``--json`` writes a machine-readable record (per-move timings, dirty
-fractions, speedups) so the perf trajectory is tracked across PRs.  Exit
-status is non-zero when any incremental answer diverges from the full
-rebuild.
+``--json`` writes a machine-readable record (per-move rebuild and check
+timings) so the perf trajectory is tracked across changes.  Exit status
+is non-zero when any answer differs from brute force.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 
 import numpy as np
 
 from repro.dynamic import DynamicHeatMap
+from repro.nn.rnn import NaiveRNN
+
+
+def brute_force(dyn: DynamicHeatMap, probes: np.ndarray) -> "list[frozenset]":
+    """RNN sets (client handles) at ``probes`` over the current points."""
+    handles, clients, facilities = dyn.points()
+    sets = NaiveRNN(clients, facilities, metric=dyn.metric).query_many(probes)
+    return [frozenset(handles[i] for i in s) for s in sets]
 
 
 def main(argv=None) -> int:
@@ -38,11 +47,11 @@ def main(argv=None) -> int:
     ap.add_argument("--facilities", type=int, default=500)
     ap.add_argument("--metric", default="linf", choices=("l1", "l2", "linf"))
     ap.add_argument("--moves", type=int, default=5,
-                    help="single-client moves to replay per policy")
+                    help="single-client moves to replay")
     ap.add_argument("--step", type=float, default=0.02,
                     help="move distance (fraction of the unit square)")
     ap.add_argument("--probes", type=int, default=5000,
-                    help="random probes for the equivalence check")
+                    help="random probes checked against brute force per move")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--json", type=str, default=None, metavar="PATH",
                     help="write a machine-readable result record here")
@@ -53,64 +62,47 @@ def main(argv=None) -> int:
     facilities = rng.random((args.facilities, 2))
     probes = rng.random((args.probes, 2)) * 1.2 - 0.1
 
-    # Two maps fed the identical update stream, differing only in policy.
-    inc = DynamicHeatMap(clients, facilities, metric=args.metric,
-                         rebuild="incremental")
-    full = DynamicHeatMap(clients, facilities, metric=args.metric,
-                          rebuild="full")
+    dyn = DynamicHeatMap(clients, facilities, metric=args.metric)
     t0 = time.perf_counter()
-    inc.result()
+    dyn.result()
     initial_s = time.perf_counter() - t0
-    full.result()
     print(f"|O|={args.clients} |F|={args.facilities} metric={args.metric} "
-          f"initial build {initial_s:.2f}s")
+          f"initial build {initial_s * 1e3:.1f} ms")
 
     moves = []
     failures = 0
     for i in range(args.moves):
         handle = int(rng.integers(0, args.clients))
-        delta = rng.uniform(-args.step, args.step, size=2)
-        x, y = np.asarray(clients[handle]) + delta
+        x, y = clients[handle] + rng.uniform(-args.step, args.step, size=2)
         clients[handle] = (x, y)
-
-        inc.move_client(handle, float(x), float(y))
+        dyn.move_client(handle, float(x), float(y))
         t0 = time.perf_counter()
-        r_inc = inc.result()
-        inc_s = time.perf_counter() - t0
+        result = dyn.result()
+        rebuild_s = time.perf_counter() - t0
 
-        full.move_client(handle, float(x), float(y))
         t0 = time.perf_counter()
-        r_full = full.result()
-        full_s = time.perf_counter() - t0
-
+        want = brute_force(dyn, probes)
         ok = (
-            np.array_equal(r_inc.heat_at_many(probes),
-                           r_full.heat_at_many(probes))
-            and r_inc.rnn_at_many(probes) == r_full.rnn_at_many(probes)
-            and r_inc.region_set.top_k_heats(10)
-            == r_full.region_set.top_k_heats(10)
+            result.rnn_at_many(probes) == want
+            and np.array_equal(result.heat_at_many(probes), [len(s) for s in want])
         )
+        check_s = time.perf_counter() - t0
         failures += 0 if ok else 1
-        speedup = full_s / inc_s if inc_s > 0 else float("inf")
         moves.append({
             "move": i,
-            "incremental_s": inc_s,
-            "full_s": full_s,
-            "speedup": speedup,
-            "dirty_fraction": r_inc.stats.dirty_fraction,
-            "events_swept": r_inc.stats.n_events,
-            "answers_equal": bool(ok),
+            "rebuild_s": rebuild_s,
+            "check_s": check_s,
+            "answers_equal_brute_force": bool(ok),
         })
-        verdict = "answers==full" if ok else "MISMATCH vs full"
-        print(f"move {i}: incremental {inc_s*1e3:8.1f} ms  "
-              f"full {full_s*1e3:8.1f} ms  speedup {speedup:6.1f}x  "
-              f"dirty {r_inc.stats.dirty_fraction:.4f}  {verdict}")
+        verdict = "answers==brute force" if ok else "MISMATCH vs brute force"
+        print(f"move {i}: rebuild {rebuild_s * 1e3:7.1f} ms  "
+              f"check {check_s * 1e3:7.1f} ms  {verdict}")
 
-    mean_speedup = (
-        float(np.mean([m["speedup"] for m in moves])) if moves else 0.0
+    median_ms = (
+        statistics.median(m["rebuild_s"] for m in moves) * 1e3 if moves else 0.0
     )
-    print(f"mean speedup over {args.moves} single-client moves: "
-          f"{mean_speedup:.1f}x")
+    print(f"median rebuild over {args.moves} single-client moves: "
+          f"{median_ms:.1f} ms")
 
     if args.json:
         record = {
@@ -126,7 +118,7 @@ def main(argv=None) -> int:
             },
             "initial_build_s": initial_s,
             "moves": moves,
-            "mean_speedup": mean_speedup,
+            "median_rebuild_ms": median_ms,
             "failures": failures,
         }
         with open(args.json, "w") as fh:
@@ -135,7 +127,7 @@ def main(argv=None) -> int:
         print(f"wrote {args.json}")
 
     if failures:
-        print(f"FAIL: {failures} move(s) diverged from the full rebuild")
+        print(f"FAIL: {failures} move(s) diverged from brute force")
         return 1
     return 0
 

@@ -35,11 +35,11 @@ def main() -> None:
                               float(np.clip(y + rng.normal(0, 0.03), 0, 1)))
         world.add_client(*rng.random(2))
 
-        result = world.result()
-        hot = result.stats.max_heat_point
-        print(f"tick {tick}: max influence {result.stats.max_heat:g} at "
-              f"({hot[0]:.3f}, {hot[1]:.3f}); k={result.labels} "
-              f"(rebuild #{world.rebuilds})")
+        # The map is served from its NN-circles: the hot spot comes from
+        # the exact maximum search, no sweep.
+        heat, hot, _rnn = world.result().region_set.peak()
+        print(f"tick {tick}: max influence {heat:g} at "
+              f"({hot[0]:.3f}, {hot[1]:.3f}) (rebuild #{world.rebuilds})")
 
         # Reposition car 0 toward the hot spot (and watch the map react).
         world.move_facility(0, *hot)

@@ -109,7 +109,7 @@ def main():
             assert exc.code == 304
         print(f"tile 2/1/2: {len(png)} bytes PNG, revalidation -> 304")
 
-        # -- dynamic updates through the incremental path --------------
+        # -- dynamic updates: lazy, sweep-free rebuilds -----------------
         _status, kicked = post(base + "/build", {
             "dataset": ds["dataset"], "dynamic": True,
         })

@@ -3,7 +3,7 @@
     rnnhm heatmap --dataset nyc --clients 2000 --facilities 600 \\
         --metric l2 --out nyc.pgm
     rnnhm query --dataset nyc --probes 100000 --tile-zoom 2
-    rnnhm update --clients 2000 --updates 50 --rebuild auto
+    rnnhm update --clients 2000 --updates 50 --check-every 10
     rnnhm figure 16 --scale small
     rnnhm info
 
@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     up = sub.add_parser(
         "update",
         help="replay a random update workload against a DynamicHeatMap, "
-             "exercising incremental dirty-band re-sweeps",
+             "checking its answers against brute force",
     )
     up.add_argument("--dataset", default="uniform",
                     choices=("nyc", "la", "uniform", "zipfian"))
@@ -168,12 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     up.add_argument("--updates", type=int, default=20,
                     help="number of updates to replay (client moves/adds/"
                          "removes and facility moves)")
-    up.add_argument("--rebuild", default="auto",
-                    choices=("auto", "incremental", "full"),
-                    help="rebuild policy for DynamicHeatMap.result()")
     up.add_argument("--check-every", type=int, default=0,
-                    help="every N updates, verify answers against a "
-                         "from-scratch sweep (0: never)")
+                    help="every N updates, verify answers against brute "
+                         "force over the current points (0: never)")
     up.add_argument("--seed", type=int, default=0)
 
     ver = sub.add_parser("verify", help="build a heat map and self-verify it "
@@ -510,11 +507,10 @@ def _cmd_update(args) -> int:
     import numpy as np
 
     from .dynamic import DynamicHeatMap
+    from .nn.rnn import NaiveRNN
 
     clients, facilities = _instance(args)
-    dyn = DynamicHeatMap(
-        clients, facilities, metric=args.metric, rebuild=args.rebuild
-    )
+    dyn = DynamicHeatMap(clients, facilities, metric=args.metric)
     t0 = time.perf_counter()
     dyn.result()
     build_s = time.perf_counter() - t0
@@ -526,7 +522,6 @@ def _cmd_update(args) -> int:
     rng = np.random.default_rng(args.seed + 3)
     probes = np.column_stack([rng.random(500), rng.random(500)])
     total_s = 0.0
-    dirty_sum = 0.0
     mismatches = 0
     for step in range(1, args.updates + 1):
         op = int(rng.integers(0, 4))
@@ -540,35 +535,29 @@ def _cmd_update(args) -> int:
         else:
             fh = dyn.assignment.facility_handles()
             dyn.move_facility(int(rng.choice(fh)), *rng.random(2))
-        version_before = dyn.version
         t0 = time.perf_counter()
         result = dyn.result()
-        dt = time.perf_counter() - t0
-        total_s += dt
-        if dyn.version != version_before:  # an actual rebuild, not a no-op
-            dirty_sum += result.stats.dirty_fraction
+        total_s += time.perf_counter() - t0
         if args.check_every and step % args.check_every == 0:
-            ref = dyn.from_scratch()
-            if not np.array_equal(
-                result.heat_at_many(probes), ref.heat_at_many(probes)
-            ) or result.rnn_at_many(probes) != ref.rnn_at_many(probes):
+            handles, now_clients, now_facilities = dyn.points()
+            oracle = NaiveRNN(now_clients, now_facilities, metric=args.metric)
+            want = [frozenset(handles[i] for i in s) for s in oracle.query_many(probes)]
+            if result.rnn_at_many(probes) != want or not np.array_equal(
+                result.heat_at_many(probes), [len(s) for s in want]
+            ):
                 mismatches += 1
-                print(f"  update {step}: MISMATCH vs from-scratch sweep")
+                print(f"  update {step}: MISMATCH vs brute force")
     n = max(1, args.updates)
-    rebuilt = dyn.incremental_rebuilds + dyn.full_rebuilds - 1
+    rebuilt = dyn.rebuilds - 1
     print(
         f"replayed {args.updates} updates in {total_s:.2f}s "
         f"({total_s / n * 1e3:.1f} ms/update, initial build {build_s:.2f}s)"
     )
-    print(
-        f"rebuilds: {dyn.incremental_rebuilds} incremental, "
-        f"{dyn.full_rebuilds - 1} full, {args.updates - rebuilt} no-op; "
-        f"mean dirty fraction {dirty_sum / max(1, rebuilt):.3f}"
-    )
+    print(f"rebuilds: {rebuilt}, no-op updates: {args.updates - rebuilt}")
     if args.check_every:
         verdict = "all checks passed" if not mismatches else (
             f"{mismatches} CHECK FAILURES")
-        print(f"equivalence checks every {args.check_every} updates: {verdict}")
+        print(f"brute-force checks every {args.check_every} updates: {verdict}")
     return 1 if mismatches else 0
 
 

@@ -1,22 +1,14 @@
-"""Shared fragment clip/stitch/splice primitives.
+"""Fragment clip/stitch primitives for slab-partitioned sweeps.
 
-Two consumers re-assemble sweep output from pieces and need identical
-semantics for cutting fragments at an x-boundary and healing the seams:
-
-* :mod:`repro.parallel` clips per-slab sweeps to their ownership intervals
-  and stitches the slabs back into one subdivision;
-* :mod:`repro.dynamic.incremental` clips the *retained* portion of a
-  previous build around a dirty x-band and splices freshly swept fragments
-  into the gap.
-
-Both operate on regions of constant RNN set, so an x-cut is a pure interval
-intersection (the bounding curves travel with the fragment) and a seam is
-healable exactly when the two sides agree on everything but the x-span.
+:mod:`repro.parallel` clips per-slab sweeps to their ownership intervals
+and stitches the slabs back into one subdivision.  A slab boundary cuts
+regions of constant RNN set, so an x-cut is a pure interval intersection
+(the bounding curves travel with the fragment) and a seam is healable
+exactly when the two sides agree on everything but the x-span.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +16,6 @@ import numpy as np
 __all__ = [
     "clip_fragments",
     "stitch_fragments",
-    "splice_pieces",
     "fragment_maxima",
 ]
 
@@ -61,8 +52,7 @@ def stitch_fragments(pieces: "list[list]") -> list:
     A merge can only happen where a fragment's ``x_hi`` in one piece equals
     a fragment's ``x_lo`` in the next, so the (comparatively expensive)
     cross-section key is computed lazily for those seam candidates only —
-    splicing a small fresh band into a city-scale retained subdivision
-    touches a handful of fragments, not all of them.
+    a seam touches a handful of fragments, not all of them.
     """
     merged: list = []
     # Key of a fragment's cross-section: everything but the x-span.
@@ -94,32 +84,6 @@ def stitch_fragments(pieces: "list[list]") -> list:
         right_edge = next_edge
         prev_ends = {x for x, _sec in right_edge}
     return merged
-
-
-def splice_pieces(
-    retained: list,
-    bands: "list[tuple[float, float]]",
-    fresh_per_band: "list[list]",
-) -> list:
-    """Replace the ``bands`` portions of ``retained`` with fresh fragments.
-
-    ``bands`` are disjoint ascending x-intervals and ``fresh_per_band[i]``
-    holds the fragments (already clipped to ``bands[i]``) that supersede the
-    retained subdivision there.  The retained fragments are clipped to the
-    complement gaps and the x-ordered piece sequence
-    ``gap_0, fresh_0, gap_1, fresh_1, ..., gap_n`` is stitched so seams
-    interior to an unchanged region re-merge into maximal runs.
-    """
-    if len(bands) != len(fresh_per_band):
-        raise ValueError("one fresh fragment list is required per band")
-    pieces: "list[list]" = []
-    cursor = -math.inf
-    for (lo, hi), fresh in zip(bands, fresh_per_band):
-        pieces.append(clip_fragments(retained, cursor, lo))
-        pieces.append(fresh)
-        cursor = hi
-    pieces.append(clip_fragments(retained, cursor, math.inf))
-    return stitch_fragments(pieces)
 
 
 def fragment_maxima(fragments: list):

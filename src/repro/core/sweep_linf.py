@@ -69,13 +69,8 @@ class SweepStats:
     n_slabs: int = 1
     n_workers: int = 1
     transport_s: float = 0.0
-    # Incremental-rebuild provenance (repro.dynamic.incremental): full
-    # builds keep the defaults; a dirty-band re-sweep records the fraction
-    # of the event queue that fell inside the re-swept bands (``n_events``
-    # then counts only the events the partial sweep actually processed)
-    # and how many disjoint bands were swept.
+    # Retired: always 1.0, read by perfbench's live-update replay.
     dirty_fraction: float = 1.0
-    n_dirty_bands: int = 0
 
 
 class _FragmentAssembler:

@@ -1,20 +1,16 @@
-"""Dynamic heat maps: incremental NN-circle maintenance + localized rebuilds.
+"""Dynamic heat maps: incremental NN-circle maintenance + lazy rebuilds.
 
 ``DynamicAssignment`` keeps nearest-facility assignments current under
 client/facility churn; ``DynamicHeatMap`` layers lazy heat-map rebuilding
-on top, re-sweeping only the dirty x-bands an update batch actually
-touched and splicing the fresh fragments into the retained subdivision
-(:mod:`.incremental`).
+on top: a size-measure rebuild is an NN-circle surface over the current
+circles, and each rebuild reports the dirty rectangles its changed
+circles cover, so serving layers invalidate only the tiles they touch.
 """
 
 from .assignment import DynamicAssignment
 from .heatmap import DynamicHeatMap
-from .incremental import ResweepPlan, plan_resweep, resweep_spliced
 
 __all__ = [
     "DynamicAssignment",
     "DynamicHeatMap",
-    "ResweepPlan",
-    "plan_resweep",
-    "resweep_spliced",
 ]

@@ -13,8 +13,8 @@ facility and distance, updating incrementally:
                         single vectorized distance pass).
 * facility removed:     only its currently-assigned clients re-query.
 
-A full heat map rebuild after a batch of updates then costs one sweep over
-the refreshed circles — the expensive NN phase never restarts from scratch.
+A heat map rebuild after a batch of updates then works from the refreshed
+circles — the expensive NN phase never restarts from scratch.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class DynamicAssignment:
         self.stat_reassignments = 0
         #: Client handles whose NN-circle (center or radius) may have
         #: changed since the last ``drain_touched()`` — the change feed the
-        #: incremental heat-map rebuild localizes its re-sweep from.  An
+        #: heat map's dirty rects (partial tile invalidation) come from.  An
         #: over-approximation is safe (consumers diff against a snapshot);
         #: a miss would be a correctness bug, so every mutation records
         #: every client it may touch.
@@ -217,6 +217,10 @@ class DynamicAssignment:
     def client_position(self, handle: int) -> "tuple[float, float]":
         """The client's current (internal-frame) coordinates."""
         return self._clients[handle]
+
+    def facility_position(self, handle: int) -> "tuple[float, float]":
+        """The facility's current (internal-frame) coordinates."""
+        return self._facilities[handle]
 
     def facility_of(self, handle: int) -> int:
         """The client's current nearest facility handle."""

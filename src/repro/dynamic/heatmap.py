@@ -1,25 +1,24 @@
 """A heat map that follows a changing world.
 
 Wraps ``DynamicAssignment`` (incremental NN-circle maintenance) with lazy
-heat-map rebuilding.  Updates only mark the map stale; ``result()`` decides
-how much work the accumulated update batch actually requires:
+rebuilding.  Updates only mark the map stale; the next ``result()`` diffs
+the touched circles against the last build's snapshot and then either
 
-* **no-op** — every touched circle is unchanged against the last build's
-  snapshot (e.g. a move that was undone): the cached result is returned
-  untouched and the version counter does *not* advance, so downstream tile
-  caches stay warm;
-* **incremental** — the changed circles' old+new x-extents form dirty
-  intervals; only the covering bands are re-swept and spliced into the
-  retained subdivision (:mod:`.incremental`), giving answers identical to
-  a from-scratch build at a fraction of the cost;
-* **full** — the classic whole-plane sweep, taken when there is no cache
-  yet, when the dirty fraction makes splicing pointless, or on request.
+* keeps the cached map — every touched circle is unchanged (e.g. a move
+  that was undone), so the version counter does *not* advance and
+  downstream tile caches stay warm — or
+* builds the map of the current circles from scratch and logs the old
+  and new boxes of the changed circles (``dirty_rects_since``), so
+  ``HeatMapService`` drops only the tiles those boxes touch.
 
-The ``rebuild`` knob ("auto" | "incremental" | "full") selects the policy;
-"auto" compares the planned dirty fraction against
-``incremental_threshold``.  Either way the result is the same map — the
-equivalence gate in ``tests/test_incremental.py`` holds heat/RNN/top-k
-answers bit-identical to a from-scratch build after every update.
+Under the size measure that map is an
+:class:`~repro.core.surface.NNCircleSurface`, the same object a static
+size-measure build serves: heat, RNN sets and tiles count the circles
+containing each point, so a rebuild indexes the circles and sweeps
+nothing.  The engine's sweep runs only when a fragment-level request
+(top-k, threshold, fragments, sweep counters) asks for it.  Other
+measures sweep the current circles with the default engine on every
+rebuild.
 """
 
 from __future__ import annotations
@@ -28,20 +27,15 @@ import threading
 
 import numpy as np
 
-from ..core.heatmap import HeatMapResult
-from ..core.sweep_l2 import run_crest_l2
-from ..core.sweep_linf import run_crest
-from ..errors import AlgorithmUnsupportedError, InvalidInputError
+from ..core.heatmap import HeatMapResult, sweep_circles
+from ..core.surface import NNCircleSurface
 from ..geometry.metrics import get_metric
 from ..geometry.rect import Rect
 from ..geometry.transforms import IDENTITY, ROTATE_L1_TO_LINF
 from ..influence.measures import InfluenceMeasure, SizeMeasure
 from .assignment import DynamicAssignment
-from .incremental import plan_resweep, resweep_spliced
 
 __all__ = ["DynamicHeatMap"]
-
-_REBUILD_MODES = ("auto", "incremental", "full")
 
 #: Dirty-region entries older than this are forgotten; a service that last
 #: synced before the trimmed horizon falls back to full invalidation.
@@ -56,17 +50,8 @@ class DynamicHeatMap:
     """An updatable RNN heat map over moving clients and facilities.
 
     All update methods take/return stable integer handles and mark the map
-    stale; ``result()`` rebuilds on demand — incrementally when the update
-    batch only dirtied a small part of the plane.
-
-    Args:
-        rebuild: "auto" (default) picks incremental re-sweeps while the
-            dirty fraction stays under ``incremental_threshold``;
-            "incremental" forces splicing whenever a retained remainder
-            exists (degrading to full only when the dirty bands swallow
-            the whole event queue); "full" always re-sweeps everything.
-        incremental_threshold: dirty-event fraction above which "auto"
-            prefers a full rebuild.
+    stale; ``result()`` rebuilds on demand, from scratch, when the update
+    batch changed some circle.
 
     Note: positions given to updates are in *original* coordinates; the L1
     rotation is applied internally exactly as in ``RNNHeatMap``.
@@ -79,17 +64,9 @@ class DynamicHeatMap:
         *,
         metric: str = "l2",
         measure: "InfluenceMeasure | None" = None,
-        rebuild: str = "auto",
-        incremental_threshold: float = 0.5,
     ) -> None:
         self.metric = get_metric(metric)
         self.measure = measure if measure is not None else SizeMeasure()
-        if rebuild not in _REBUILD_MODES:
-            raise InvalidInputError(
-                f"rebuild must be one of {_REBUILD_MODES}, got {rebuild!r}"
-            )
-        self.rebuild = rebuild
-        self.incremental_threshold = float(incremental_threshold)
         if self.metric.name == "l1":
             self.transform = ROTATE_L1_TO_LINF
             clients = self.transform.forward_array(np.asarray(clients, dtype=float))
@@ -106,8 +83,6 @@ class DynamicHeatMap:
         self._snapshot: "dict[int, tuple[float, float, float]] | None" = None
         self._pending: "set[int]" = set()
         self.rebuilds = 0
-        self.full_rebuilds = 0
-        self.incremental_rebuilds = 0
         #: Build counter.  It advances only when ``result()`` produced a
         #: map that may differ from the previous one — updates alone no
         #: longer bump it, so no-op update/undo sequences leave downstream
@@ -118,8 +93,17 @@ class DynamicHeatMap:
         #: Serializes updates against rebuilds: ``HeatMapService``
         #: refreshes dynamic handles from executor threads, so an
         #: update arriving mid-rebuild must wait for a consistent
-        #: snapshot (re-entrant: result() may call from_scratch()).
+        #: snapshot (re-entrant: ``batch()`` holds it across updates).
         self._lock = threading.RLock()
+
+    #: Retired: always 0, read by perfbench's live-update replay.
+    incremental_rebuilds = 0
+
+    @property
+    def full_rebuilds(self) -> int:
+        """Retired: equals ``rebuilds``; perfbench's live-update replay
+        reads it."""
+        return self.rebuilds
 
     def _point(self, x: float, y: float) -> "tuple[float, float]":
         return self.transform.forward(x, y)
@@ -225,7 +209,7 @@ class DynamicHeatMap:
         self._dirty_log.append((self.version, dirty_rects))
         if len(self._dirty_log) > _DIRTY_LOG_LIMIT:
             del self._dirty_log[:-_DIRTY_LOG_LIMIT]
-        if self._snapshot is None or changes is None:
+        if changes is None:
             self._snapshot = {
                 h: self.assignment.circle_of(h)
                 for h in self.assignment.client_handles()
@@ -246,64 +230,31 @@ class DynamicHeatMap:
         self._stale = False
         return self._cached
 
-    def from_scratch(self) -> HeatMapResult:
-        """A reference full sweep of the current circles.
+    def _build(self) -> HeatMapResult:
+        """The map of the current circles, built from scratch."""
+        circles = self.assignment.circles()
+        if isinstance(self.measure, SizeMeasure):
+            return HeatMapResult(NNCircleSurface(circles, self.transform))
+        return sweep_circles(circles, self.measure, self.transform, "crest")
 
-        Pure computation: the cache, version counter and rebuild counters
-        are untouched — this is the oracle the incremental splice must
-        match, usable for equivalence checks at any time.
-        """
+    def result(self) -> HeatMapResult:
+        """The current heat map, rebuilt only if updates changed a circle."""
         with self._lock:
-            circles = self.assignment.circles()
-        if circles.metric.name == "l2":
-            stats, region_set = run_crest_l2(
-                circles, self.measure, transform=self.transform
-            )
-        elif circles.metric.name == "linf":
-            stats, region_set = run_crest(
-                circles, self.measure, transform=self.transform
-            )
-        else:  # pragma: no cover - construction prevents this
-            raise AlgorithmUnsupportedError(circles.metric.name)
-        return HeatMapResult(region_set, stats)
-
-    def _full_build(self) -> HeatMapResult:
-        self.full_rebuilds += 1
-        return self.from_scratch()
-
-    def result(self, rebuild: "str | None" = None) -> HeatMapResult:
-        """The current heat map, rebuilding only if updates occurred.
-
-        Args:
-            rebuild: per-call override of the instance policy ("auto" |
-                "incremental" | "full"); only consulted when a rebuild is
-                actually needed.
-        """
-        with self._lock:
-            return self._result_locked(rebuild)
-
-    def _result_locked(self, rebuild: "str | None") -> HeatMapResult:
-        if self._cached is not None and not self._stale:
-            return self._cached
-        mode = self.rebuild if rebuild is None else rebuild
-        if mode not in _REBUILD_MODES:
-            raise InvalidInputError(
-                f"rebuild must be one of {_REBUILD_MODES}, got {rebuild!r}"
-            )
-        changes = self._changes()
-        if self._cached is not None and self._snapshot is not None:
-            if not changes:
-                return self._keep_cached()
-            intervals: "list[tuple[float, float]]" = []
-            rects: "list[Rect]" = []
-            for _h, old, new in changes:
-                for cx, cy, r in filter(None, (old, new)):
-                    if r > 0.0:
-                        intervals.append((cx - r, cx + r))
-                        rects.append(Rect.from_center_radius(cx, cy, r))
-            if not intervals:
-                # Only degenerate (zero-radius) circles changed: they are
-                # dropped from every sweep, so the subdivision is intact.
+            if self._cached is not None and not self._stale:
+                return self._cached
+            changes = self._changes()
+            if self._cached is None:
+                # First build: everything is dirty.
+                return self._finish_rebuild(self._build(), None, None)
+            rects = [
+                Rect.from_center_radius(cx, cy, r)
+                for _h, old, new in changes
+                for cx, cy, r in filter(None, (old, new))
+                if r > 0.0
+            ]
+            if not rects:
+                # No change, or only degenerate (zero-radius) circles
+                # changed: they contain no point, so the map is intact.
                 return self._keep_cached()
             if len(rects) > _MAX_DIRTY_RECTS:
                 box = rects[0]
@@ -311,26 +262,18 @@ class DynamicHeatMap:
                     box = box.union_bounds(r)
                 rects = [box]
             dirty_rects = [self._to_original_rect(r) for r in rects]
-            if mode != "full":
-                circles = self.assignment.circles()
-                plan = plan_resweep(circles, intervals)
-                if plan is not None and not plan.bands:  # pragma: no cover
-                    return self._keep_cached()
-                take = plan is not None and (
-                    mode == "incremental"
-                    or plan.dirty_fraction <= self.incremental_threshold
-                )
-                if take:
-                    stats, region_set = resweep_spliced(
-                        self._cached.region_set, circles, self.measure, plan
-                    )
-                    self.incremental_rebuilds += 1
-                    return self._finish_rebuild(
-                        HeatMapResult(region_set, stats), changes, dirty_rects
-                    )
-            return self._finish_rebuild(self._full_build(), changes, dirty_rects)
-        # First build (or a snapshot-less rebuild): everything is dirty.
-        return self._finish_rebuild(self._full_build(), None, None)
+            return self._finish_rebuild(self._build(), changes, dirty_rects)
+
+    def points(self) -> "tuple[list[int], np.ndarray, np.ndarray]":
+        """The current world in original coordinates: ``(client handles,
+        clients, facilities)``, clients in handle order."""
+        with self._lock:
+            a = self.assignment
+            handles = a.client_handles()
+            clients = np.array([a.client_position(h) for h in handles])
+            facilities = np.array([a.facility_position(h) for h in a.facility_handles()])
+        inverse = self.transform.inverse_array
+        return handles, inverse(clients), inverse(facilities)
 
     # ------------------------------------------------------------------
     # Dirty-region reporting (for partial cache invalidation)

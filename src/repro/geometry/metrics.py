@@ -28,7 +28,8 @@ class Metric:
         p: the Minkowski exponent (1, 2 or math.inf), for kd-tree backends.
         circle_shape: shape of the NN-circle this metric induces.
         distance: scalar distance between two (x, y) pairs.
-        pairwise_to_point: vectorized distances from an (n, 2) array to a point.
+        pairwise_to_point: vectorized distances from an (n, 2) array to a
+            point (or, broadcasting, to a (b, 1, 2) stack of points).
     """
 
     name: str
@@ -55,17 +56,17 @@ def _dist_linf(p, q) -> float:
 
 def _arr_l1(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     d = np.abs(points - q)
-    return d[:, 0] + d[:, 1]
+    return d[..., 0] + d[..., 1]
 
 
 def _arr_l2(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     d = points - q
-    return np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2)
+    return np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2)
 
 
 def _arr_linf(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     d = np.abs(points - q)
-    return np.maximum(d[:, 0], d[:, 1])
+    return np.maximum(d[..., 0], d[..., 1])
 
 
 L1 = Metric("l1", 1.0, "diamond", _dist_l1, _arr_l1)

@@ -17,6 +17,9 @@ from .nncircles import compute_nn_circles
 
 __all__ = ["NaiveRNN", "rnn_set_of_point"]
 
+#: Point-circle distances computed per block of :meth:`NaiveRNN.query_many`.
+_BLOCK = 1 << 20
+
 
 def rnn_set_of_point(circles: NNCircleSet, x: float, y: float) -> frozenset:
     """The RNN set of (x, y) by brute-force closed containment."""
@@ -64,6 +67,18 @@ class NaiveRNN:
             if c.contains(x, y):
                 out.append(c.client_id)
         return frozenset(out)
+
+    def query_many(self, points) -> "list[frozenset]":
+        """R(q) for every row of an (n, 2) batch, by brute force in blocks."""
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        c = self.circles
+        centres = np.column_stack([c.cx, c.cy])
+        step = max(1, _BLOCK // max(len(c), 1))
+        out: "list[frozenset]" = []
+        for lo in range(0, len(pts), step):
+            d = self.metric.pairwise_to_point(centres, pts[lo:lo + step, None, :])
+            out.extend(frozenset(c.client_ids[row].tolist()) for row in d <= c.radius)
+        return out
 
     def influence(self, x: float, y: float, measure) -> float:
         """Influence of placing a new facility at (x, y) under ``measure``."""

@@ -16,9 +16,8 @@ Entry points:
   kept alive and reused across builds (see :mod:`.pool`).
 
 The clip/stitch primitives themselves live in
-:mod:`repro.core.stitching` and are shared with the incremental dirty-band
-splicer (:mod:`repro.dynamic.incremental`); they remain importable from
-here for compatibility.
+:mod:`repro.core.stitching`; they remain importable from here for
+compatibility.
 """
 
 from ..core.stitching import clip_fragments, stitch_fragments

@@ -2,8 +2,8 @@
 
 Spawning a ``ProcessPoolExecutor`` per build costs worker startup (fork +
 interpreter warm-up) on every call — measurable against city-scale sweeps
-and dominant for the small re-sweeps the incremental pipeline issues.  This
-module keeps one lazily created executor alive across builds:
+and dominant for small ones.  This module keeps one lazily created
+executor alive across builds:
 
 * ``lease_pool(n)`` returns the shared executor when its size matches the
   request, creating it on first use.  A request for a *different* worker

@@ -12,7 +12,7 @@ against:
 ``POST /build``                           kick a build by fingerprint (202)
 ``GET  /build/{handle}``                  poll build status
 ``POST /query/{handle}``                  JSON batch heat / rnn / top-k
-``POST /update/{handle}``                 dynamic update batch (incremental)
+``POST /update/{handle}``                 dynamic update batch (lazy rebuild)
 ``GET  /tiles/{handle}/{z}/{tx}/{ty}.png``  raster tile, ETag revalidation
 ``GET  /events/{handle}``                 SSE push-invalidation stream
 ========================================  ===================================
@@ -102,7 +102,6 @@ __all__ = [
 ]
 
 _METRICS = ("l1", "l2", "linf")
-_REBUILD_MODES = ("auto", "incremental", "full")
 
 #: One tile request must stay bounded: level 30 already addresses 4^30
 #: tiles, far past float resolution of any world rect.
@@ -771,8 +770,8 @@ class HeatMapHTTPApp(BaseHTTPApp):
         Static builds are keyed by input fingerprint: posting the same
         body twice returns the same handle, and a resident handle answers
         200/ready immediately.  ``"dynamic": true`` instead attaches a
-        fresh ``DynamicHeatMap`` (unique handle per request) whose
-        ``/update`` endpoint routes through the incremental rebuild path.
+        fresh ``DynamicHeatMap`` (unique handle per request) that
+        ``/update`` edits; its rebuilds are lazy NN-circle surfaces.
         """
         payload = request.json()
         if not isinstance(payload, dict):
@@ -780,9 +779,7 @@ class HeatMapHTTPApp(BaseHTTPApp):
         clients, facilities = self._dataset(payload)
         params = self._build_params(payload)
         if self._bool_field(payload, "dynamic"):
-            return await self._start_dynamic_build(
-                payload, clients, facilities, params
-            )
+            return await self._start_dynamic_build(clients, facilities, params)
         handle = await self._run(
             request_fingerprint, clients, facilities,
             metric=params["metric"], algorithm=params["algorithm"],
@@ -836,9 +833,7 @@ class HeatMapHTTPApp(BaseHTTPApp):
         else:
             self._record_build(handle, "ready", None)
 
-    async def _start_dynamic_build(
-        self, payload, clients, facilities, params
-    ) -> Response:
+    async def _start_dynamic_build(self, clients, facilities, params) -> Response:
         """Attach a new ``DynamicHeatMap`` under a fresh fleet-unique handle.
 
         Handles are ``dyn-<token>-<seq>`` where the token is minted once
@@ -846,9 +841,6 @@ class HeatMapHTTPApp(BaseHTTPApp):
         proxy's sticky-pin routing working, and the token keeps two
         replicas behind one proxy from ever minting colliding names.
         """
-        rebuild = str(payload.get("rebuild", "auto"))
-        if rebuild not in _REBUILD_MODES:
-            raise HTTPError(400, f"rebuild must be one of {_REBUILD_MODES}")
         if params["monochromatic"] or params["k"] != 1:
             raise HTTPError(
                 400, "dynamic maps support monochromatic=false, k=1 only"
@@ -856,7 +848,7 @@ class HeatMapHTTPApp(BaseHTTPApp):
         if REGISTRY.get(params["algorithm"]).builder is not None:
             raise HTTPError(
                 400,
-                "dynamic maps run the exact incremental sweep; approximate "
+                "dynamic maps run on their exact NN-circles; approximate "
                 f"engines ({params['algorithm']!r}) build static handles only",
             )
         if params["engine_options"]:
@@ -868,9 +860,7 @@ class HeatMapHTTPApp(BaseHTTPApp):
         state = {"status": "building", "error": None}
 
         def make() -> DynamicHeatMap:
-            dyn = DynamicHeatMap(
-                clients, facilities, metric=params["metric"], rebuild=rebuild
-            )
+            dyn = DynamicHeatMap(clients, facilities, metric=params["metric"])
             self.service.attach_dynamic(dyn, name=handle)
             return dyn
 
@@ -953,11 +943,11 @@ class HeatMapHTTPApp(BaseHTTPApp):
         raise HTTPError(400, f'unknown query kind {kind!r} (heat | rnn | top-k)')
 
     async def _handle_update(self, request: Request, handle: str) -> Response:
-        """Apply a dynamic update batch; rebuilds stay lazy and incremental.
+        """Apply a dynamic update batch; the rebuild stays lazy.
 
         The response reports the map's (still pre-rebuild) version; the
-        next query or tile fetch triggers the dirty-band re-sweep, and the
-        service drops only tiles intersecting the dirty region.
+        next query or tile fetch rebuilds the map's circle surface, and
+        the service drops only tiles intersecting the dirty region.
         """
         dyn = self._dynamic.get(handle)
         if dyn is None:

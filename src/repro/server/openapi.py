@@ -300,8 +300,8 @@ SPEC = {
                 "description": (
                     "Only handles built with dynamic=true accept updates "
                     "(409 for static handles). Rebuilds stay lazy: the next "
-                    "query or tile fetch re-sweeps only the dirty bands and "
-                    "drops only intersecting tiles."
+                    "query or tile fetch rebuilds the map's NN-circle surface "
+                    "and drops only intersecting tiles."
                 ),
                 "operationId": "update",
                 "parameters": [
@@ -566,10 +566,6 @@ SPEC = {
                     "k": {"type": "integer", "minimum": 1},
                     "monochromatic": {"type": "boolean"},
                     "dynamic": {"type": "boolean"},
-                    "rebuild": {
-                        "type": "string",
-                        "enum": ["auto", "incremental", "full"],
-                    },
                     "recall": {
                         "type": "number",
                         "exclusiveMinimum": 0,

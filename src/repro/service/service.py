@@ -489,10 +489,14 @@ class HeatMapService:
         cached tiles (and only this handle's) before the next query is
         answered — and only the tiles intersecting the update's dirty
         region when the map can bound it (no-op update batches invalidate
-        nothing at all).
+        nothing at all).  Each result the map builds is bound like a
+        static build's: a circle surface's on-demand sweep is counted in
+        ``sweeps``, runs with the service's ``workers`` and fires the
+        ``sweep-batch`` fault point.
         """
         handle = name if name is not None else f"dynamic:{id(dynamic):x}"
         result = dynamic.result()
+        self._bind(result, self.default_workers)
         entry = _Entry(
             result, world_bounds(result.region_set),
             dynamic=dynamic, version=dynamic.version,
@@ -540,13 +544,14 @@ class HeatMapService:
         with entry.lock:
             if not (getattr(dyn, "dirty", False) or dyn.version != entry.version):
                 return entry
-            # The world may have moved: ask the source to rebuild (itself a
-            # localized re-sweep for small updates).  A no-op update batch
+            # The world may have moved: ask the source to rebuild (a new
+            # circle surface under the size measure).  A no-op update batch
             # leaves the version untouched and every cache entry warm.
             # entry.lock serializes this per handle: concurrent probes on a
             # dirty map trigger exactly one rebuild.
             result = dyn.result()
             if dyn.version != entry.version:
+                self._bind(result, self.default_workers)
                 old_world = entry.world
                 new_world = world_bounds(result.region_set)
                 rects = None

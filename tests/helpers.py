@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.nncircles import compute_nn_circles
+from repro.nn.rnn import NaiveRNN
 
 
 def make_instance(seed: int, n_clients: int, n_facilities: int, metric: str):
@@ -27,6 +28,33 @@ def naive_rnn_set(circles, x: float, y: float) -> frozenset:
     return frozenset(circles.enclosing(x, y))
 
 
+def pixel_centres(bounds, n: int) -> np.ndarray:
+    """The centres of an n x n raster over ``bounds``, in raster order
+    (row 0 = bottom), as an (n * n, 2) array."""
+    xs = bounds.x_lo + (np.arange(n) + 0.5) * (bounds.x_hi - bounds.x_lo) / n
+    ys = bounds.y_lo + (np.arange(n) + 0.5) * (bounds.y_hi - bounds.y_lo) / n
+    gx, gy = np.meshgrid(xs, ys)
+    return np.column_stack([gx.ravel(), gy.ravel()])
+
+
+def dynamic_brute_force(dyn, probes):
+    """Heat and RNN sets (client handles) at ``probes`` by brute force over
+    freshly computed NN radii of a ``DynamicHeatMap``'s current points."""
+    handles, clients, facilities = dyn.points()
+    sets = NaiveRNN(clients, facilities, metric=dyn.metric).query_many(probes)
+    rnn = [frozenset(handles[i] for i in s) for s in sets]
+    return np.array([len(s) for s in rnn], dtype=float), rnn
+
+
+def assert_matches_brute_force(dyn, result, probes, label: str = "") -> None:
+    """``result``'s heat and RNN answers equal :func:`dynamic_brute_force`."""
+    heat, rnn = dynamic_brute_force(dyn, probes)
+    np.testing.assert_array_equal(
+        result.heat_at_many(probes), heat, err_msg=f"{label}: heat diverged"
+    )
+    assert result.rnn_at_many(probes) == rnn, f"{label}: RNN sets diverged"
+
+
 def assert_same_answers(reference, candidates, probes, *, top_k: int = 10):
     """Assert every candidate answers exactly like ``reference``.
 
@@ -34,9 +62,9 @@ def assert_same_answers(reference, candidates, probes, *, top_k: int = 10):
     result)`` candidate expose ``heat_at_many`` / ``rnn_at_many`` /
     ``region_set.top_k_heats`` (a ``HeatMapResult`` does), and every
     answer — heat batch, RNN set batch, top-k list — must be *identical*,
-    not merely close.  Serial, slab-parallel and incremental-splice builds
-    of the same instance all promise bit-equal subdivisions; this is the
-    single gate they share.
+    not merely close.  Serial, slab-parallel and batched builds of the
+    same instance all promise bit-equal subdivisions; this is the single
+    gate they share.
     """
     ref_heats = reference.heat_at_many(probes)
     ref_rnns = reference.rnn_at_many(probes)

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro import DynamicHeatMap, HeatMapService, RNNHeatMap, UnknownHandleError
 from repro.service import ResultStore
+from helpers import dynamic_brute_force, pixel_centres
 
 
 def _run_threads(n: int, target) -> "list":
@@ -180,21 +181,19 @@ class TestThreadedMixedWorkload:
         assert stats.invalidations >= 1
 
         # No lost invalidations: the serving state converged on the final
-        # world — answers match a from-scratch sweep of the current circles.
-        final = dyn.from_scratch()
-        np.testing.assert_array_equal(
-            service.heat_at_many(hd, probes), final.heat_at_many(probes)
-        )
-        assert service.rnn_at_many(hd, probes) == final.rnn_at_many(probes)
+        # world — answers match brute force over the current points.
+        heat, rnn = dynamic_brute_force(dyn, probes)
+        np.testing.assert_array_equal(service.heat_at_many(hd, probes), heat)
+        assert service.rnn_at_many(hd, probes) == rnn
         # And the tile cache holds no pre-update raster.
         grid, bounds = service.tile(hd, 0, 0, 0)
-        fresh, fbounds = final.rasterize(16, 16, bounds)
-        np.testing.assert_array_equal(grid, fresh)
+        heat, _rnn = dynamic_brute_force(dyn, pixel_centres(bounds, 16))
+        np.testing.assert_array_equal(grid.ravel(), heat)
 
     def test_concurrent_updates_and_probes_stay_consistent(self, rng):
         """An updater thread races probe threads on one dynamic handle;
         every answer served must correspond to *some* consistent version,
-        and the final state must equal the from-scratch oracle."""
+        and the final state must equal brute force."""
         dyn = DynamicHeatMap(
             rng.random((40, 2)), rng.random((10, 2)), metric="l2"
         )
@@ -228,10 +227,8 @@ class TestThreadedMixedWorkload:
             for f in futs:
                 f.result()
 
-        final = dyn.from_scratch()
-        np.testing.assert_array_equal(
-            service.heat_at_many(hd, probes), final.heat_at_many(probes)
-        )
+        heat, _rnn = dynamic_brute_force(dyn, probes)
+        np.testing.assert_array_equal(service.heat_at_many(hd, probes), heat)
 
 
 class TestResultStoreRace:

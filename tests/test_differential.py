@@ -1,11 +1,12 @@
 """Differential test harness: one oracle over every build path.
 
-Seeded randomized workloads sweep the serial engine, the slab-partitioned
-``*-parallel`` pipeline and the incremental-splice rebuild path over the
-same instances and assert *identical* ``heat_at_many`` / ``rnn_at_many`` /
-``top_k_heats`` answers — the per-PR equivalence gates (tests/test_parallel,
-tests/test_incremental) generalized into one reusable harness
-(``helpers.assert_same_answers``).
+Seeded randomized workloads run the serial engine, the slab-partitioned
+``*-parallel`` pipeline and the batched engines over the same instances
+and assert *identical* ``heat_at_many`` / ``rnn_at_many`` /
+``top_k_heats`` answers (``helpers.assert_same_answers``).  Dynamic maps
+are held to brute force over their current points after every update
+(``helpers.assert_matches_brute_force``), and to the static builds at
+the end.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro import DynamicHeatMap, RNNHeatMap
-from helpers import assert_same_answers
+from helpers import assert_matches_brute_force, assert_same_answers
 
 
 def _instance(seed: int, metric: str):
@@ -61,12 +62,12 @@ def test_serial_vs_batched_engines(seed, metric):
 
 
 @pytest.mark.parametrize("seed,metric", CASES)
-def test_incremental_path_vs_from_scratch(seed, metric):
-    """A randomized update workload: after every applied batch, the
-    incremental-splice result answers exactly like a from-scratch sweep."""
+def test_dynamic_path_vs_brute_force(seed, metric):
+    """A randomized update workload: after every applied batch, the dynamic
+    map answers like brute force over the current points, and its last
+    top-k equals a fresh static build's."""
     clients, facilities, probes = _instance(seed, metric)
-    dyn = DynamicHeatMap(clients, facilities, metric=metric,
-                         rebuild="incremental")
+    dyn = DynamicHeatMap(clients, facilities, metric=metric)
     dyn.result()
     rng = np.random.default_rng(seed + 1000)
     for step in range(6):
@@ -81,21 +82,20 @@ def test_incremental_path_vs_from_scratch(seed, metric):
         else:
             fh = dyn.assignment.facility_handles()
             dyn.move_facility(int(rng.choice(fh)), *rng.random(2))
-        incremental = dyn.result()
-        assert_same_answers(
-            dyn.from_scratch(), [(f"incremental step {step}", incremental)],
-            probes,
-        )
+        assert_matches_brute_force(dyn, dyn.result(), probes, f"step {step}")
+    _handles, now_clients, now_facilities = dyn.points()
+    static = RNNHeatMap(now_clients, now_facilities, metric=metric).build("crest")
+    assert dyn.result().region_set.top_k_heats(10) == static.region_set.top_k_heats(10)
 
 
 @pytest.mark.parametrize("metric", ["l2", "linf"])
 def test_three_paths_converge_on_one_state(metric):
-    """Serial, parallel and incremental arrive at the same *final* state by
+    """Serial, parallel and dynamic arrive at the same *final* state by
     different roads and must answer identically.
 
-    The incremental path starts from a perturbed world and is driven back
-    to the target configuration by updates, so its subdivision is the
-    product of splicing, not a fresh sweep.
+    The dynamic path starts from a perturbed world and is driven back to
+    the target configuration by updates; after each one it must answer
+    like brute force, and at the end like the two static builds.
     """
     seed = 37
     clients, facilities, probes = _instance(seed, metric)
@@ -106,20 +106,18 @@ def test_three_paths_converge_on_one_state(metric):
     )
 
     # Perturb: displace the first three clients, then move them back one by
-    # one through the dynamic update API (incremental splices each step).
+    # one through the dynamic update API.
     perturbed = clients.copy()
     perturbed[:3] += 0.05
-    dyn = DynamicHeatMap(perturbed, facilities, metric=metric,
-                         rebuild="incremental")
+    dyn = DynamicHeatMap(perturbed, facilities, metric=metric)
     dyn.result()
     handles = sorted(dyn.assignment.client_handles())
     for i in range(3):
         dyn.move_client(handles[i], clients[i, 0], clients[i, 1])
-        dyn.result()
-    incremental = dyn.result()
+        assert_matches_brute_force(dyn, dyn.result(), probes, f"move {i}")
 
     assert_same_answers(
         serial,
-        [("parallel workers=2", parallel), ("incremental splice", incremental)],
+        [("parallel workers=2", parallel), ("dynamic", dyn.result())],
         probes,
     )

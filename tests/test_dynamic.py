@@ -1,12 +1,15 @@
-"""Dynamic heat maps: incremental assignment vs recompute-from-scratch."""
+"""Dynamic heat maps: incremental assignment and answers vs brute force."""
 
 import numpy as np
 import pytest
 
+from repro import HeatMapService
 from repro.dynamic import DynamicAssignment, DynamicHeatMap
 from repro.errors import InvalidInputError
 from repro.nn.nncircles import nn_distances
 from repro.nn.rnn import NaiveRNN
+from repro.render.raster import world_bounds
+from helpers import assert_matches_brute_force, dynamic_brute_force, pixel_centres
 
 
 def snapshot_positions(assignment: DynamicAssignment):
@@ -100,7 +103,7 @@ class TestDynamicAssignment:
 
 class TestDynamicHeatMap:
     @pytest.mark.parametrize("metric", ["l2", "linf", "l1"])
-    def test_matches_from_scratch_after_updates(self, metric, rng):
+    def test_matches_brute_force_after_updates(self, metric, rng):
         O, F = rng.random((30, 2)), rng.random((6, 2))
         dyn = DynamicHeatMap(O, F, metric=metric)
         dyn.move_client(0, 0.9, 0.9)
@@ -108,15 +111,8 @@ class TestDynamicHeatMap:
         h = dyn.add_client(0.1, 0.2)
         dyn.add_facility(0.6, 0.6)
         assert dyn.dirty
-        # Reference: rebuild the same world from scratch.
-        O2 = [dyn.assignment._clients[k] for k in sorted(dyn.assignment._clients)]
-        F2 = list(dyn.assignment._facilities.values())
-        O2 = np.array(O2)
-        F2 = np.array(F2)
-        if metric == "l1":
-            # dyn stores rotated coordinates; map back for the oracle.
-            O2 = dyn.transform.inverse_array(O2)
-            F2 = dyn.transform.inverse_array(F2)
+        # Reference: brute force over the current (original-space) points.
+        _handles, O2, F2 = dyn.points()
         oracle = NaiveRNN(O2, F2, metric=metric)
         for _ in range(60):
             x, y = rng.random(2) * 1.2 - 0.1
@@ -144,3 +140,54 @@ class TestDynamicHeatMap:
         # A new facility right of client 1 shrinks its circle.
         dyn.add_facility(0.65, 0.5)
         assert dyn.rnn_at(0.5, 0.5) == frozenset({0})
+
+
+def _shared_x_world(seed: int):
+    """60 clients and 12 facilities around (0.1, 0.1), x clipped at 0:
+    many points share x = 0, the L2 sweeps' axis."""
+    r = np.random.default_rng(seed)
+    clients = r.normal(0.1, 0.1, (60, 2))
+    facilities = r.normal(0.1, 0.1, (12, 2))
+    clients[:, 0] = np.maximum(clients[:, 0], 0.0)
+    facilities[:, 0] = np.maximum(facilities[:, 0], 0.0)
+    return clients, facilities
+
+
+def _world_probes(result, n: int, seed: int) -> np.ndarray:
+    world = world_bounds(result.region_set)
+    r = np.random.default_rng(seed)
+    return np.column_stack([
+        r.uniform(world.x_lo, world.x_hi, n), r.uniform(world.y_lo, world.y_hi, n)
+    ])
+
+
+class TestSharedX:
+    """Points sharing an x coordinate: the L2 sweeps mislabel regions
+    there, and dynamic maps once served the sweep.  Every answer must
+    equal brute force, through a move and its undo."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_move_and_back_matches_brute_force(self, seed):
+        clients, facilities = _shared_x_world(seed)
+        dyn = DynamicHeatMap(clients, facilities, metric="l2")
+        x, y = clients[5]
+        for step, move in enumerate((None, (x + 0.05, y), (x, y))):
+            if move is not None:
+                dyn.move_client(5, *move)
+            result = dyn.result()
+            probes = _world_probes(result, 20_000, seed)
+            assert_matches_brute_force(dyn, result, probes, f"step {step}")
+
+    def test_served_tile_matches_brute_force(self):
+        clients, facilities = _shared_x_world(7)
+        dyn = DynamicHeatMap(clients, facilities, metric="l2")
+        service = HeatMapService(tile_size=64)
+        h = service.attach_dynamic(dyn)
+        x, y = clients[5]
+        dyn.move_client(5, x + 0.05, y)
+        service.tile(h, 0, 0, 0)
+        dyn.move_client(5, x, y)
+        grid, bounds = service.tile(h, 0, 0, 0)
+        heat, _rnn = dynamic_brute_force(dyn, pixel_centres(bounds, 64))
+        np.testing.assert_array_equal(grid.ravel(), heat)
+        assert service.stats.sweeps == 0

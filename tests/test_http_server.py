@@ -480,6 +480,53 @@ def test_partial_update_preserves_clean_tile_etags(server):
     assert stats["service"]["tile_renders"] == renders_before + n200
 
 
+def test_dynamic_serving_never_sweeps():
+    """A dynamic handle serves tiles, updates and heat/RNN queries from
+    its NN-circle surface: ``/stats`` counts no sweep throughout.
+    ``rebuild`` is an ignored build field, so any value is accepted."""
+    from repro.nn.rnn import NaiveRNN
+
+    rng = np.random.default_rng(SEED + 6)
+    clients, facilities = rng.random((60, 2)), rng.random((10, 2))
+    probes = rng.random((200, 2))
+    with ThreadedHTTPServer(tile_size=16) as srv:
+        def sweeps():
+            _s, body, _ = _get(srv.url + "/stats")
+            return json.loads(body)["service"]["sweeps"]
+
+        def fetch_tiles():
+            for tx in range(2):
+                for ty in range(2):
+                    assert _get(f"{srv.url}/tiles/{handle}/1/{tx}/{ty}.png")[0] == 200
+
+        _s, ds = _post(srv.url + "/datasets", {
+            "clients": clients.tolist(), "facilities": facilities.tolist(),
+        })
+        status, kicked = _post(srv.url + "/build", {
+            "dataset": ds["dataset"], "dynamic": True, "rebuild": "sometimes",
+        })
+        assert status == 202
+        handle = kicked["handle"]
+        assert _poll_ready(srv.url, handle)["status"] == "ready"
+        fetch_tiles()
+        assert sweeps() == 0
+        for step in range(3):
+            x, y = rng.random(2)
+            clients[step] = (x, y)
+            _post(f"{srv.url}/update/{handle}", {"updates": [
+                {"op": "move_client", "handle": step, "x": x, "y": y},
+            ]})
+            fetch_tiles()
+            _s, heat = _post(f"{srv.url}/query/{handle}", {"points": probes.tolist()})
+            _s, rnn = _post(f"{srv.url}/query/{handle}", {
+                "kind": "rnn", "points": probes.tolist(),
+            })
+            want = NaiveRNN(clients, facilities, metric="l2").query_many(probes)
+            assert heat["heats"] == [len(s) for s in want]
+            assert rnn["rnn"] == [sorted(s) for s in want]
+            assert sweeps() == 0
+
+
 def test_default_tile_fetch_is_the_real_render():
     """Every tile response is the real render: with the root warm, each
     cold z=1 and z=2 tile answers 200 under a strong ETag with the same

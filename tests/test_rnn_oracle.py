@@ -29,6 +29,21 @@ class TestDefinition:
             x, y = rng.random(2) * 1.4 - 0.2
             assert plain.query(x, y) == indexed.query(x, y)
 
+    @pytest.mark.parametrize("metric", ["l1", "l2", "linf"])
+    def test_query_many_matches_query(self, metric, rng, monkeypatch):
+        """The blocked batch equals one query per point, block seams and
+        the boundary (closed containment) included."""
+        import repro.nn.rnn as rnn
+
+        O, F = rng.random((60, 2)), rng.random((12, 2))
+        oracle = NaiveRNN(O, F, metric=metric)
+        c = oracle.circles
+        # Points on circle boundaries, plus random ones.
+        edge = np.column_stack([c.cx + c.radius, c.cy])
+        points = np.vstack([edge, rng.random((200, 2)) * 1.4 - 0.2])
+        monkeypatch.setattr(rnn, "_BLOCK", 7 * len(c))  # 7 points a block
+        assert oracle.query_many(points) == [oracle.query(x, y) for x, y in points]
+
     def test_monochromatic(self, rng):
         P = rng.random((40, 2))
         oracle = NaiveRNN(P, monochromatic=True, metric="l2")

@@ -35,6 +35,7 @@ from repro.server import ThreadedHTTPServer
 from repro.service import AsyncHeatMapService
 from repro.service.tiles import tile_bounds
 from repro.server.wire import handle_vmax
+from helpers import pixel_centres
 
 
 def _instance(seed: int):
@@ -46,13 +47,6 @@ def _instance(seed: int):
     facilities = rng.random((n_fac, 2))
     probes = rng.random((400, 2)) * 1.2 - 0.1
     return clients, facilities, probes
-
-
-def _pixel_centres(bounds, n: int) -> np.ndarray:
-    xs = bounds.x_lo + (np.arange(n) + 0.5) * (bounds.x_hi - bounds.x_lo) / n
-    ys = bounds.y_lo + (np.arange(n) + 0.5) * (bounds.y_hi - bounds.y_lo) / n
-    gx, gy = np.meshgrid(xs, ys)
-    return np.column_stack([gx.ravel(), gy.ravel()])
 
 
 def _brute_heat(points, clients, facilities, metric="l2"):
@@ -89,7 +83,7 @@ class TestSurfaceEqualsSweep:
         world = world_bounds(regions)
         assert world_bounds(surface) == world
         for z, tx, ty in ((0, 0, 0), (4, 5, 9), (4, 8, 7)):
-            centres = _pixel_centres(tile_bounds(world, z, tx, ty), 48)
+            centres = pixel_centres(tile_bounds(world, z, tx, ty), 48)
             np.testing.assert_array_equal(
                 surface.heat_at_many(centres), regions.heat_at_many(centres)
             )
@@ -238,7 +232,7 @@ class TestTangentCircles:
         for z, tx, ty in ((0, 0, 0), (1, 0, 1), (2, 1, 2)):
             grid, bounds = service.tile(h, z, tx, ty)
             want, tie = _brute_heat(
-                _pixel_centres(bounds, 128), self.CLIENTS, self.FACILITIES
+                pixel_centres(bounds, 128), self.CLIENTS, self.FACILITIES
             )
             np.testing.assert_array_equal(grid.ravel()[~tie], want[~tie])
         assert service.stats.sweeps == 0
@@ -305,19 +299,34 @@ class TestOnDemandSweep:
         assert service.stats.sweeps == 1
 
     def test_other_measures_and_dynamic_handles_sweep_at_build(self, instance):
+        """Other measures sweep at build.  A dynamic handle does not: it
+        is a circle surface per version, swept only by top-k and counted
+        like a static handle's on-demand sweep."""
         from repro import DynamicHeatMap
         from repro.influence.measures import WeightedMeasure
 
-        clients, facilities, _probes = instance
-        service = HeatMapService()
+        clients, facilities, probes = instance
+        service = HeatMapService(tile_size=32)
         h = service.build(
             clients, facilities, metric="l2",
             measure=WeightedMeasure(np.ones(len(clients))),
         )
         assert not isinstance(service.result(h).region_set, NNCircleSurface)
-        hd = service.attach_dynamic(DynamicHeatMap(clients, facilities, metric="l2"))
-        assert not isinstance(service.result(hd).region_set, NNCircleSurface)
+        dyn = DynamicHeatMap(clients, facilities, metric="l2")
+        hd = service.attach_dynamic(dyn)
+        assert isinstance(service.result(hd).region_set, NNCircleSurface)
+        dyn.move_client(0, 0.5, 0.5)
+        service.heat_at_many(hd, probes)
+        service.rnn_at_many(hd, probes)
+        service.tile(hd, 0, 0, 0)
+        service.viewport(hd, 2, service.world(hd))
         assert service.stats.sweeps == 0
+        service.top_k_heats(hd, 3)
+        service.top_k_heats(hd, 5)  # the same version: no second sweep
+        assert service.stats.sweeps == 1
+        dyn.move_client(1, 0.25, 0.75)
+        service.top_k_heats(hd, 3)
+        assert service.stats.sweeps == 2
 
     def test_lazy_sweep_is_the_engine_sweep(self, instance):
         clients, facilities, _probes = instance
