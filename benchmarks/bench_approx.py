@@ -68,7 +68,7 @@ def _heat_rmse(result, exact_radii, clients, metric="l2", size=64) -> float:
     bounds = exact.bounds()
     eg, _ = exact.rasterize(size, size, bounds)
     ag, _ = result.region_set.rasterize(size, size, bounds)
-    return float(np.sqrt(np.mean((ag - eg) ** 2)))
+    return float(np.sqrt(np.mean((ag.astype(float) - eg) ** 2)))
 
 
 def main(argv=None) -> int:

@@ -102,7 +102,12 @@ class HeatMapResult:
 
     def rasterize(self, width: int, height: int, bounds=None):
         """A (height, width) heat grid over ``bounds`` (default: the full
-        extent); returns ``(grid, bounds)`` with raster row 0 = bottom."""
+        extent); returns ``(grid, bounds)`` with raster row 0 = bottom.
+
+        A swept ``RegionSet`` gives float heats; a circle surface gives
+        unsigned integer counts (``NNCircleSurface.rasterize``).  Cast to
+        float before subtracting grids: unsigned differences wrap.
+        """
         return self.region_set.rasterize(width, height, bounds)
 
     @property

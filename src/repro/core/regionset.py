@@ -558,7 +558,7 @@ class RegionSet:
     def rasterize(
         self, width: int, height: int, bounds: "Rect | None" = None
     ) -> "tuple[np.ndarray, Rect]":
-        """Heat at pixel centres; see ``repro.render.raster``."""
+        """Heat at pixel centres as a float grid; see ``repro.render.raster``."""
         from ..render.raster import rasterize_regionset
 
         return rasterize_regionset(self, width, height, bounds)

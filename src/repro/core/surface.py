@@ -63,6 +63,17 @@ _CELLS = 1 << 20
 _TIE = 1e-9
 
 
+def _half_chord(x, cx, r2) -> np.ndarray:
+    """Half the height of each disk at ``x``: the sweep's arc formula
+    (``regionset._arc_y_many``), ``sqrt(r^2 - min(dx^2, r^2))``.  Strict
+    containment is ``cy - h < y < cy + h``."""
+    h = x - cx
+    np.multiply(h, h, out=h)
+    np.minimum(h, r2, out=h)
+    np.subtract(r2, h, out=h)
+    return np.sqrt(h, out=h)
+
+
 def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """``starts[k], starts[k] + 1, ...`` for ``sizes[k]`` values each, all
     concatenated."""
@@ -207,14 +218,8 @@ class NNCircleSurface:
         """Whether point ``(x[k], y[k])`` lies inside circle ``ci[k]``."""
         cols = np.take(self._cols, ci, axis=1)
         if self.metric_name == "l2":
-            # The sweep's arc formula (``regionset._arc_y_many``): the
-            # circle spans cy -/+ sqrt(r^2 - min(dx^2, r^2)) at x.
             cx, cy, r2 = cols
-            h = x - cx
-            np.multiply(h, h, out=h)
-            np.minimum(h, r2, out=h)
-            np.subtract(r2, h, out=h)
-            np.sqrt(h, out=h)
+            h = _half_chord(x, cx, r2)
             return (y > cy - h) & (y < cy + h)
         x_lo, x_hi, y_lo, y_hi = cols
         return (x > x_lo) & (x < x_hi) & (y > y_lo) & (y < y_hi)
@@ -270,10 +275,105 @@ class NNCircleSurface:
     def rasterize(
         self, width: int, height: int, bounds: "Rect | None" = None
     ) -> "tuple[np.ndarray, Rect]":
-        """Heat at pixel centres; see ``repro.render.raster``."""
-        from ..render.raster import rasterize_regionset
+        """``(grid, bounds)``: the (height, width) count of circles
+        containing each pixel centre (row 0 = bottom), as
+        ``np.min_scalar_type(len(self))`` — no count exceeds the circle
+        count — over the window of ``repro.render.raster.pixel_axes``.
 
-        return rasterize_regionset(self, width, height, bounds)
+        Every pixel equals :meth:`heat_at_many` at its centre.  In the
+        identity frame the circles' spans are counted per pixel column
+        (:meth:`_span_count`); the rotated L1 frame counts each pixel.
+        """
+        from ..render.raster import pixel_axes, pixel_centres
+
+        xs, ys, bounds = pixel_axes(self, width, height, bounds)
+        dtype = np.min_scalar_type(len(self))
+        if self._grid is None:
+            return np.zeros((height, width), dtype), bounds
+        if self.transform.is_identity:
+            return self._span_count(xs, ys, dtype), bounds
+        ipts = self._internal(pixel_centres(xs, ys))
+        counts = self._count(ipts[:, 0], ipts[:, 1])
+        return counts.astype(dtype).reshape(height, width), bounds
+
+    def _span_count(self, xs: np.ndarray, ys: np.ndarray, dtype) -> np.ndarray:
+        """Containment counts, as ``dtype``, at the identity-frame pixel
+        centres ``(xs[c], ys[r])``, equal to what :meth:`_count` finds.
+
+        A circle is tested only at the pixels whose grid cell lists it, as
+        in :meth:`_candidates` — a rectangle of pixels, since the cells of
+        sorted centres are sorted.  Within it a square holds a rectangle of
+        pixels; a disk holds, per pixel column, the run of rows strictly
+        between ``cy -/+ h`` (:func:`_half_chord`, as :meth:`_inside` tests
+        it, once per circle and column).  Each rectangle or run adds +1 at
+        its start and -1 past its end in a difference array, and running
+        sums give the counts.  No count exceeds the circle count, so the
+        differences may wrap around in the unsigned ``dtype``: the sums
+        come out exact.  Circle-column pairs are expanded ``_BLOCK`` at a
+        time.
+        """
+        grid = self._grid
+        width, height = len(xs), len(ys)
+        one = dtype.type(1)  # a Python int would take ufunc.at's slow path
+        col, row = grid.column(xs), grid.row(ys)
+        ids = self._window(col, row)
+        x_lo, x_hi, y_lo, y_hi = (v[ids] for v in self._box)
+        # The first pixel column (row) at or past each grid column (row).
+        cells = np.arange(grid.side + 1)
+        at_col, at_row = np.searchsorted(col, cells), np.searchsorted(row, cells)
+        c0, c1 = at_col[grid.column(x_lo)], at_col[grid.column(x_hi) + 1]
+        r0, r1 = at_row[grid.row(y_lo)], at_row[grid.row(y_hi) + 1]
+        if self.metric_name == "linf":
+            # Pixels strictly inside each square, within its cells.
+            c0 = np.maximum(c0, np.searchsorted(xs, x_lo, "right"))
+            c1 = np.minimum(c1, np.searchsorted(xs, x_hi, "left"))
+            r0 = np.maximum(r0, np.searchsorted(ys, y_lo, "right"))
+            r1 = np.minimum(r1, np.searchsorted(ys, y_hi, "left"))
+            keep = (c0 < c1) & (r0 < r1)
+            c0, c1, r0, r1 = c0[keep], c1[keep], r0[keep], r1[keep]
+            diff = np.zeros((height + 1) * (width + 1), dtype)
+            r0 *= width + 1
+            r1 *= width + 1
+            np.add.at(diff, np.r_[r0 + c0, r1 + c1], one)
+            np.subtract.at(diff, np.r_[r0 + c1, r1 + c0], one)
+            diff = diff.reshape(height + 1, width + 1)
+            np.cumsum(diff, axis=0, dtype=dtype, out=diff)
+            np.cumsum(diff, axis=1, dtype=dtype, out=diff)
+            return np.ascontiguousarray(diff[:height, :width])
+        cx, cy, r2 = np.take(self._cols, ids, axis=1)
+        pairs = np.maximum(c1 - c0, 0)
+        diff = np.zeros((height + 1) * width, dtype)
+        cuts = np.searchsorted(
+            np.cumsum(pairs), np.arange(_BLOCK, pairs.sum(), _BLOCK), "right"
+        )
+        lo = 0
+        for hi in [*np.unique(cuts).tolist(), len(ids)]:
+            k = np.repeat(np.arange(lo, hi), pairs[lo:hi])
+            c = _ranges(c0[lo:hi], pairs[lo:hi])
+            lo = hi
+            h = _half_chord(xs[c], cx[k], r2[k])
+            ck = cy[k]
+            start = np.maximum(np.searchsorted(ys, ck - h, "right"), r0[k])
+            stop = np.minimum(np.searchsorted(ys, ck + h, "left"), r1[k])
+            run = start < stop
+            c = c[run]
+            np.add.at(diff, start[run] * width + c, one)
+            np.subtract.at(diff, stop[run] * width + c, one)
+        diff = diff.reshape(height + 1, width)
+        np.cumsum(diff, axis=0, dtype=dtype, out=diff)
+        return diff[:height]
+
+    def _window(self, col: np.ndarray, row: np.ndarray) -> np.ndarray:
+        """Indices of the circles listed in the grid cells spanned by
+        sorted cell columns ``col`` and rows ``row`` (all circles once
+        those cells hold more entries than there are circles)."""
+        grid = self._grid
+        cells = np.arange(row[0], row[-1] + 1) * grid.side
+        start = grid.starts[cells + col[0]]
+        size = grid.starts[cells + col[-1]] + grid.counts[cells + col[-1]] - start
+        if size.sum() >= len(self):
+            return np.arange(len(self))
+        return np.unique(grid.entries[_ranges(start, size)])
 
     # ------------------------------------------------------------------
     # The maximum, without a sweep

@@ -90,7 +90,8 @@ def diff_heat_maps(
 
     grid_before, _ = before.rasterize(resolution, resolution, bounds)
     grid_after, _ = after.rasterize(resolution, resolution, bounds)
-    delta = grid_after - grid_before
+    # Subtract in float: count rasters are unsigned and would wrap.
+    delta = grid_after.astype(float) - grid_before
     cell_area = (bounds.width / resolution) * (bounds.height / resolution)
     return HeatMapDiff(
         grid=delta,

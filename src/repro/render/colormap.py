@@ -53,11 +53,24 @@ def heat_colors(norm: np.ndarray) -> np.ndarray:
     return (rgb * 255).round().astype(np.uint8)
 
 
+_CMAPS = {"gray_dark": grayscale_dark, "heat": heat_colors}
+
+
 def apply_colormap(grid: np.ndarray, cmap: str = "gray_dark", vmax=None) -> np.ndarray:
-    """Heat grid -> uint8 image array ('gray_dark' 2-D or 'heat' RGB 3-D)."""
-    norm = normalize(grid, vmax)
-    if cmap == "gray_dark":
-        return grayscale_dark(norm)
-    if cmap == "heat":
-        return heat_colors(norm)
-    raise InvalidInputError(f"unknown colormap {cmap!r}")
+    """Heat grid -> uint8 image array ('gray_dark' 2-D or 'heat' RGB 3-D).
+
+    An unsigned integer grid (a circle-count raster) is coloured through a
+    lookup table: the values 0..max go through :func:`normalize` and the
+    colormap as float pixels would, and the grid indexes the result — the
+    same bytes, for max + 1 values' arithmetic.  Other grids are coloured
+    per pixel.
+    """
+    colour = _CMAPS.get(cmap)
+    if colour is None:
+        raise InvalidInputError(f"unknown colormap {cmap!r}")
+    grid = np.asarray(grid)
+    if grid.dtype.kind == "u" and grid.size:
+        top = int(grid.max())
+        lut = colour(normalize(np.arange(top + 1), top if vmax is None else vmax))
+        return np.take(lut, grid, axis=0)
+    return colour(normalize(grid, vmax))

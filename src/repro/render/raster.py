@@ -1,11 +1,15 @@
 """Rasterizing a heat surface into a heat grid.
 
 CREST's output is a region colouring: every point takes the heat of the
-region containing it.  A raster is therefore that lookup at each pixel
-centre — one batched ``heat_at_many`` call, so every pixel equals what a
-point query at its centre answers, for every metric (the L1 rotation
-happens inside the lookup) and for every surface that offers
-``heat_at_many`` (fragment tables and circle-count surfaces alike).
+region containing it.  A raster is therefore that heat at each pixel
+centre, so every pixel equals what a point query at its centre answers,
+for every metric and every surface.  :func:`rasterize_regionset` reads
+it with one batched ``heat_at_many`` call — the float grid a fragment
+table (``RegionSet``) serves under any measure.  The NN-circle surface
+(``repro.core.surface``) rasterizes itself into an unsigned integer count
+grid: it counts the circles' spans down each pixel column rather than
+testing every pixel, and only its rotated L1 frame looks each pixel up.
+Both take their window and pixel centres from :func:`pixel_axes`.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 from ..errors import InvalidInputError
 from ..geometry.rect import Rect
 
-__all__ = ["rasterize_regionset", "world_bounds"]
+__all__ = ["pixel_axes", "pixel_centres", "rasterize_regionset", "world_bounds"]
 
 
 def world_bounds(region_set) -> Rect:
@@ -45,22 +49,15 @@ def world_bounds(region_set) -> Rect:
     )
 
 
-def rasterize_regionset(
-    region_set,
-    width: int,
-    height: int,
-    bounds: "Rect | None" = None,
-) -> "tuple[np.ndarray, Rect]":
-    """Rasterize to a (height, width) float grid plus its original-space
-    bounds.  Row 0 is the bottom row (flip with [::-1] for image output,
-    which ``repro.render.image`` does for you).
+def pixel_axes(
+    region_set, width: int, height: int, bounds: "Rect | None" = None
+) -> "tuple[np.ndarray, np.ndarray, Rect]":
+    """``(xs, ys, bounds)`` of a (height, width) raster: the pixel-centre
+    x of each column and y of each row (both non-decreasing), and the
+    original-space window, which defaults to :func:`world_bounds`.
 
-    Pixel ``(r, c)`` is the heat at its centre
-    ``(x_lo + (c + 0.5) * (x_hi - x_lo) / width, y_lo + (r + 0.5) *
-    (y_hi - y_lo) / height)``.
-
-    Args:
-        bounds: original-space window; defaults to :func:`world_bounds`.
+    Pixel ``(r, c)`` is centred at ``(xs[c], ys[r])`` with ``xs[c] = x_lo
+    + (c + 0.5) * (x_hi - x_lo) / width`` and likewise for ``ys``.
     """
     if width <= 0 or height <= 0:
         raise InvalidInputError("raster dimensions must be positive")
@@ -72,8 +69,34 @@ def rasterize_regionset(
         raise InvalidInputError("raster bounds must have positive extent")
     xs = bounds.x_lo + (np.arange(width) + 0.5) * x_span / width
     ys = bounds.y_lo + (np.arange(height) + 0.5) * y_span / height
-    centres = np.empty((height, width, 2))
+    return xs, ys, bounds
+
+
+def pixel_centres(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The (len(ys) * len(xs), 2) pixel centres of :func:`pixel_axes`, in
+    raster order (row 0 = bottom)."""
+    centres = np.empty((len(ys), len(xs), 2))
     centres[:, :, 0] = xs
     centres[:, :, 1] = ys[:, None]
-    grid = region_set.heat_at_many(centres.reshape(-1, 2))
+    return centres.reshape(-1, 2)
+
+
+def rasterize_regionset(
+    region_set,
+    width: int,
+    height: int,
+    bounds: "Rect | None" = None,
+) -> "tuple[np.ndarray, Rect]":
+    """Rasterize to a (height, width) float grid of ``heat_at_many`` at the
+    pixel centres, plus its original-space bounds.  Row 0 is the bottom
+    row (flip with [::-1] for image output, which ``repro.render.image``
+    does for you).
+
+    Pixel ``(r, c)`` is the heat at its centre (see :func:`pixel_axes`).
+
+    Args:
+        bounds: original-space window; defaults to :func:`world_bounds`.
+    """
+    xs, ys, bounds = pixel_axes(region_set, width, height, bounds)
+    grid = region_set.heat_at_many(pixel_centres(xs, ys))
     return grid.reshape(height, width), bounds

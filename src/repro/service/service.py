@@ -757,9 +757,12 @@ class HeatMapService:
     ) -> "tuple[np.ndarray, Rect]":
         """Raster tile ``(z, tx, ty)`` as a (size, size) heat grid.
 
-        Tiles are cached per (handle, address, size); repeated pans and
-        zooms over the same area render nothing.  Row 0 is the bottom row,
-        as in ``RegionSet.rasterize``.
+        Size-measure maps (circle surfaces) give unsigned integer counts
+        in the smallest type that holds the circle count, which
+        ``apply_colormap`` colours through a lookup table; other measures
+        give float heats.  Tiles are cached per (handle, address, size);
+        repeated pans and zooms over the same area render nothing.  Row 0
+        is the bottom row, as in ``RegionSet.rasterize``.
 
         Concurrent cold requests for the same tile single-flight: one
         thread renders while the rest wait for the cache fill.  A render

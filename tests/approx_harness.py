@@ -123,7 +123,7 @@ def heat_rmse(surface_a, surface_b, *, bounds, width: int = 64, height: int = 64
     """RMSE between two surfaces' heat rasters over shared ``bounds``."""
     grid_a, _ = surface_a.rasterize(width, height, bounds)
     grid_b, _ = surface_b.rasterize(width, height, bounds)
-    return float(np.sqrt(np.mean((grid_a - grid_b) ** 2)))
+    return float(np.sqrt(np.mean((grid_a.astype(float) - grid_b) ** 2)))
 
 
 def assert_heat_rmse_within(

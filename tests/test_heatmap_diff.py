@@ -9,26 +9,40 @@ from repro.geometry.rect import Rect
 from repro.post.diff import diff_heat_maps
 
 
+def _swept(O, F):
+    return RNNHeatMap(O, F, metric="linf").build().region_set
+
+
+def _surface(O, F):
+    """Unswept: rasterizes to unsigned counts, which must not wrap."""
+    return RNNHeatMap(O, F, metric="linf").surface().region_set
+
+
+MAPS = pytest.mark.parametrize("heat_map", [_swept, _surface], ids=["build", "surface"])
+
+
 class TestDiff:
-    def test_new_facility_only_loses_influence(self, rng):
+    @MAPS
+    def test_new_facility_only_loses_influence(self, rng, heat_map):
         """Adding a competitor shrinks NN-circles: candidate locations can
         only lose potential clients, never gain them."""
         O = rng.random((60, 2))
         F = rng.random((8, 2))
-        before = RNNHeatMap(O, F, metric="linf").build().region_set
+        before = heat_map(O, F)
         F2 = np.vstack([F, [[0.5, 0.5]]])
-        after = RNNHeatMap(O, F2, metric="linf").build().region_set
+        after = heat_map(O, F2)
         diff = diff_heat_maps(before, after, resolution=120)
         assert diff.max_gain == 0.0
         assert diff.max_loss > 0.0
         assert diff.lost_area > 0.0
         assert diff.hotspots() == []  # nothing gained anywhere
 
-    def test_removed_facility_only_gains(self, rng):
+    @MAPS
+    def test_removed_facility_only_gains(self, rng, heat_map):
         O = rng.random((60, 2))
         F = rng.random((8, 2))
-        before = RNNHeatMap(O, F, metric="linf").build().region_set
-        after = RNNHeatMap(O, F[:-1], metric="linf").build().region_set
+        before = heat_map(O, F)
+        after = heat_map(O, F[:-1])
         diff = diff_heat_maps(before, after, resolution=120)
         assert diff.max_loss == 0.0
         assert diff.max_gain > 0.0
