@@ -31,11 +31,11 @@ def main() -> None:
         uniform_points(6, seed=10),
     ])
 
-    # 'l2-batched' is the vectorized CREST-L2 sweep: the same regions and
-    # heats as the paper's 'crest' loop, bit for bit, in a fraction of
-    # the time.
+    # Under L2 'crest' runs the vectorized arc sweep: the same regions and
+    # heats as the paper's loop sweep, bit for bit, in a fraction of the
+    # time.
     heat_map = RNNHeatMap(clients, facilities, metric="l2")
-    result = heat_map.build("l2-batched")
+    result = heat_map.build("crest")
 
     print(f"clients={len(clients)}  facilities={len(facilities)}")
     print(f"region labelings (k) = {result.labels}, "

@@ -46,7 +46,6 @@ from .influence.measures import (
     WeightedMeasure,
 )
 from .nn.rnn import NaiveRNN
-from .parallel import build_parallel
 from .service import (
     AsyncHeatMapService,
     HeatMapService,
@@ -89,7 +88,6 @@ __all__ = [
     "VerificationReport",
     "WeightedMeasure",
     "build_heat_map",
-    "build_parallel",
     "load_region_set",
     "save_region_set",
     "verify_region_set",

@@ -50,10 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     hm.add_argument("--seed", type=int, default=0)
     hm.add_argument("--top-k", type=int, default=5,
                     help="report the top-k heat values")
-    hm.add_argument("--workers", type=int, default=None,
-                    help="build through the slab-partitioned multi-process "
-                         "pipeline with this many workers (default: serial; "
-                         "0 or a negative value means one per CPU)")
 
     fig = sub.add_parser("figure", help="regenerate a paper figure's series")
     fig.add_argument("number", choices=("16", "17", "18", "19", "1", "15"))
@@ -90,9 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="warm the full tile pyramid level (pass -1 to skip)")
     qr.add_argument("--tile-size", type=int, default=128)
     qr.add_argument("--seed", type=int, default=0)
-    qr.add_argument("--workers", type=int, default=None,
-                    help="run the cold build through the multi-process "
-                         "pipeline (default: serial; 0/negative: one per CPU)")
     qr.add_argument("--store-dir", type=Path, default=None,
                     help="persistent result store directory: evicted builds "
                          "demote to disk and identical re-builds promote "
@@ -117,9 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     sh.add_argument("--workers", type=int, default=8,
                     help="executor threads serving blocking work "
                          "(sweeps, renders, probe batches)")
-    sh.add_argument("--build-workers", type=int, default=None,
-                    help="default process workers for cold builds "
-                         "(default: serial; 0/negative: one per CPU)")
     sh.add_argument("--tile-size", type=int, default=256)
     sh.add_argument("--max-tiles", type=int, default=2048,
                     help="tile LRU capacity")
@@ -202,15 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cli_workers(workers: "int | None") -> "int | None":
-    """CLI convention: absent means serial, 0/negative means one per CPU."""
-    if workers is None or workers > 0:
-        return workers
-    import os
-
-    return os.cpu_count() or 1
-
-
 def _engine_options(args) -> "dict | None":
     """Engine knobs from CLI flags (None when no knob flag was passed, so
     knob-less engines never see an options dict to reject)."""
@@ -242,16 +223,11 @@ def _cmd_heatmap(args) -> int:
         )
     else:
         hm = RNNHeatMap(clients, facilities, metric=args.metric, k=args.k)
-        result = hm.build(args.algorithm, workers=_cli_workers(args.workers))
+        result = hm.build(args.algorithm)
     grid, bounds = result.rasterize(args.resolution, args.resolution)
-    workers_note = (
-        f" workers={result.stats.n_workers} slabs={result.stats.n_slabs}"
-        if result.stats.n_slabs > 1 or result.stats.n_workers > 1 else ""
-    )
     print(
         f"dataset={args.dataset} |O|={args.clients} |F|={args.facilities} "
         f"metric={args.metric} algorithm={result.stats.algorithm}"
-        + workers_note
     )
     print(
         f"labels(k)={result.stats.labels} fragments={result.stats.n_fragments} "
@@ -283,8 +259,7 @@ def _cmd_query(args) -> int:
     t0 = time.perf_counter()
     handle = service.build(
         clients, facilities, metric=args.metric, algorithm=args.algorithm,
-        k=args.k, workers=_cli_workers(args.workers),
-        engine_options=_engine_options(args),
+        k=args.k, engine_options=_engine_options(args),
     )
     build_s = time.perf_counter() - t0
     world = service.world(handle)
@@ -315,11 +290,7 @@ def _cmd_query(args) -> int:
     # Top-k reads the arrangement, so its sweep counters are known now
     # (size-measure maps sweep on that first fragment-level request).
     stats = service.result(handle).stats
-    workers_note = (
-        f" workers={stats.n_workers} slabs={stats.n_slabs}"
-        if stats.n_slabs > 1 or stats.n_workers > 1 else ""
-    )
-    print(f"arrangement: algorithm={stats.algorithm}{workers_note} "
+    print(f"arrangement: algorithm={stats.algorithm} "
           f"({stats.n_fragments} fragments, {service.stats.sweeps} on-demand sweeps)")
 
     if args.tile_zoom > 8:
@@ -379,7 +350,6 @@ def _cmd_query_async(args) -> int:
                 timed("build", svc.build(
                     clients, facilities, metric=args.metric,
                     algorithm=args.algorithm, k=args.k,
-                    workers=_cli_workers(args.workers),
                     engine_options=_engine_options(args),
                 ))
                 for _ in range(n_viewers)
@@ -487,7 +457,6 @@ def _cmd_serve_http(args) -> int:
             on_bound=announce,
             drain_grace=args.drain_grace,
             max_workers=max(1, args.workers),
-            build_workers=_cli_workers(args.build_workers),
             tile_size=args.tile_size,
             max_tiles=args.max_tiles,
             max_results=args.max_results,
@@ -618,7 +587,8 @@ def _cmd_info() -> int:
     from .data.datasets import DATASET_FULL_SIZES
 
     print(f"rnnhm {__version__} — RNN heat maps (Sun et al., ICDE 2016)")
-    print(f"algorithms: {', '.join(ALGORITHMS)} + crest-l2/pruning under L2")
+    print(f"algorithms: {', '.join(ALGORITHMS)}; under L2 also crest-l2 "
+          "(the loop arc sweep) and pruning (max region only)")
     print("datasets:  " + ", ".join(
         f"{k} ({v:,})" for k, v in DATASET_FULL_SIZES.items()))
     print("figures:   16, 17 (L1 sweeps); 18, 19 (L2 sweeps); 1/15 (city maps)")

@@ -186,23 +186,17 @@ class RNNHeatMap:
         collect_fragments: bool = True,
         status_backend: str = "sortedlist",
         baseline_index: str = "segment_tree",
-        workers: "int | None" = None,
         on_label=None,
         should_cancel=None,
     ) -> HeatMapResult:
         """Solve the RC problem and return the labeled subdivision.
 
         Algorithms are looked up in :data:`repro.core.registry.REGISTRY`;
-        registered by default: 'crest' (the paper's sweep), 'crest-a' (no
-        changed intervals), 'baseline' (grid + enclosure queries; square
-        metrics only), 'superimposition' (size measure only), the
-        'l2-batched'/'linf-batched' vectorized sweeps, and the
-        'linf-parallel'/'l2-parallel' slab-partitioned pipelines.
-
-        ``workers`` requests a multi-process build: passing a value other
-        than 1 with the default 'crest' engine routes through the parallel
-        pipeline for the active sweep metric (``None`` means one worker per
-        CPU there); serial engines ignore the option.
+        registered by default: 'crest' (the paper's sweep: the segment
+        sweep under L1/L-infinity, the vectorized arc sweep under L2),
+        'crest-a' (no changed intervals), 'baseline' (grid + enclosure
+        queries; square metrics only), 'superimposition' (size measure
+        only) and the non-public 'crest-l2' (the loop arc sweep).
 
         ``should_cancel`` is a zero-argument hook polled by the sweep
         engines once per event batch; returning True abandons the build
@@ -212,7 +206,7 @@ class RNNHeatMap:
         return sweep_circles(
             self.circles, self.measure, self.transform, algorithm,
             collect_fragments=collect_fragments, status_backend=status_backend,
-            baseline_index=baseline_index, workers=workers, on_label=on_label,
+            baseline_index=baseline_index, on_label=on_label,
             should_cancel=should_cancel,
         )
 
@@ -263,14 +257,11 @@ def sweep_circles(
     collect_fragments: bool = True,
     status_backend: str = "sortedlist",
     baseline_index: str = "segment_tree",
-    workers: "int | None" = None,
     on_label=None,
     should_cancel=None,
 ) -> HeatMapResult:
     """Run a registered sweep engine over internal-frame NN-circles (see
     :meth:`RNNHeatMap.build` for the options)."""
-    if workers is not None and int(workers) != 1 and algorithm.lower() == "crest":
-        algorithm = f"{circles.metric.name}-parallel"
     _spec, runner = REGISTRY.resolve(algorithm, circles.metric.name)
     stats, region_set = runner(
         circles,
@@ -280,7 +271,6 @@ def sweep_circles(
         on_label=on_label,
         status_backend=status_backend,
         baseline_index=baseline_index,
-        workers=workers,
         should_cancel=should_cancel,
     )
     if region_set is None:

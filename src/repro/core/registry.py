@@ -8,6 +8,11 @@ metric, since e.g. 'crest' is a segment sweep under L-infinity but an arc
 sweep under L2), and carries capability metadata (supported measures,
 fragment support) that tooling and error messages derive from.
 
+Each metric has one sweep: 'crest' runs the loop segment sweep under
+L-infinity (and L1, rotated) and the vectorized arc sweep under L2.  The
+loop arc sweep stays reachable as the non-public 'crest-l2', the
+reference the vectorized one is tested against bit for bit.
+
 Engines register against the module-level :data:`REGISTRY`; the CLI's
 ``--algorithm`` choices are a live view of it, and the facade's
 ``ALGORITHMS`` tuple is an import-time snapshot of the public names.
@@ -31,7 +36,7 @@ Error semantics (kept bit-for-bit compatible with the old chain):
 * an unregistered name raises :class:`~repro.errors.UnknownAlgorithmError`;
 * a *public* engine asked to run under a metric it does not support raises
   :class:`~repro.errors.AlgorithmUnsupportedError`;
-* a non-public engine (e.g. the explicit ``crest-l2`` alias) under the
+* a non-public engine (e.g. the ``crest-l2`` reference sweep) under the
   wrong metric raises ``UnknownAlgorithmError``, matching the old chain
   where such names simply fell off the end of the if/elif ladder.
 """
@@ -47,7 +52,7 @@ from ..errors import (
 )
 from .baseline import run_baseline
 from .superimposition import run_superimposition
-from .sweep_batched import run_crest_batched, run_crest_l2_batched
+from .sweep_batched import run_crest_l2_batched
 from .sweep_l2 import run_crest_l2
 from .sweep_linf import run_crest
 
@@ -71,9 +76,6 @@ class EngineSpec:
         public: advertised in ``ALGORITHMS`` / CLI choices.  Non-public
             names are reachable but raise ``UnknownAlgorithmError`` rather
             than ``AlgorithmUnsupportedError`` under unsupported metrics.
-        parallel: the engine honors the ``workers=`` build option and runs
-            its sweep across worker processes (repro.parallel pipeline);
-            serial engines ignore ``workers`` entirely.
     """
 
     name: str
@@ -82,7 +84,6 @@ class EngineSpec:
     measures: str = "any"
     supports_fragments: bool = True
     public: bool = True
-    parallel: bool = False
     #: Exact engines reproduce the paper's arrangement bit-for-bit;
     #: approximate ones are gated statistically (recall / heat-RMSE
     #: differential tests) instead.
@@ -268,17 +269,8 @@ def _crest_a_linf(circles, measure, *, transform, collect_fragments, on_label,
 
 def _crest_l2(circles, measure, *, transform, collect_fragments, on_label,
               should_cancel=None, **_ignored):
-    """CREST-L2 arc sweep over disk NN-circles."""
+    """CREST-L2 loop arc sweep over disk NN-circles (the reference)."""
     return run_crest_l2(
-        circles, measure, collect_fragments=collect_fragments,
-        transform=transform, on_label=on_label, should_cancel=should_cancel,
-    )
-
-
-def _crest_linf_batched(circles, measure, *, transform, collect_fragments,
-                        on_label, should_cancel=None, **_ignored):
-    """Vectorized CREST segment sweep (flat status columns)."""
-    return run_crest_batched(
         circles, measure, collect_fragments=collect_fragments,
         transform=transform, on_label=on_label, should_cancel=should_cancel,
     )
@@ -308,30 +300,12 @@ def _superimposition_linf(circles, measure, *, transform, **_ignored):
     return run_superimposition(circles, measure, transform=transform)
 
 
-def _parallel_sweep(circles, measure, *, transform, collect_fragments, on_label,
-                    status_backend="sortedlist", workers=None,
-                    should_cancel=None, **_ignored):
-    """Slab-partitioned multi-process CREST (repro.parallel pipeline).
-
-    Imported lazily so importing the registry never pays the
-    ``concurrent.futures`` machinery for serial-only workloads.
-    """
-    from ..parallel.pipeline import build_parallel
-
-    return build_parallel(
-        circles, measure, transform=transform,
-        collect_fragments=collect_fragments, on_label=on_label,
-        status_backend=status_backend, workers=workers,
-        should_cancel=should_cancel,
-    )
-
-
 #: The process-wide registry the facade and CLI dispatch through.
 REGISTRY = AlgorithmRegistry()
 
 REGISTRY.register(EngineSpec(
     name="crest",
-    runners={"linf": _crest_linf, "l2": _crest_l2},
+    runners={"linf": _crest_linf, "l2": _crest_l2_batched},
     description="the paper's sweep: changed-interval batching (Theorem 2)",
 ))
 REGISTRY.register(EngineSpec(
@@ -353,30 +327,8 @@ REGISTRY.register(EngineSpec(
 REGISTRY.register(EngineSpec(
     name="crest-l2",
     runners={"l2": _crest_l2},
-    description="explicit alias for the L2 arc sweep",
+    description="the loop arc sweep 'crest' is tested against under L2",
     public=False,
-))
-REGISTRY.register(EngineSpec(
-    name="l2-batched",
-    runners={"l2": _crest_l2_batched},
-    description="vectorized CREST-L2 over flat arrays; bit-identical to crest",
-))
-REGISTRY.register(EngineSpec(
-    name="linf-batched",
-    runners={"linf": _crest_linf_batched},
-    description="vectorized CREST over flat arrays; bit-identical to crest",
-))
-REGISTRY.register(EngineSpec(
-    name="linf-parallel",
-    runners={"linf": _parallel_sweep},
-    description="CREST swept in x-slabs across worker processes (workers=)",
-    parallel=True,
-))
-REGISTRY.register(EngineSpec(
-    name="l2-parallel",
-    runners={"l2": _parallel_sweep},
-    description="CREST-L2 swept in x-slabs across worker processes (workers=)",
-    parallel=True,
 ))
 
 

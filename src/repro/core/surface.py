@@ -103,13 +103,11 @@ class NNCircleSurface:
             (the approximate engines' ``knn_indices``,
             ``facility_rnn_counts`` and ``slice_point``).
 
-    Two attributes belong to whoever serves the surface: ``workers``, the
-    worker count :meth:`sweep` passes on (see ``RNNHeatMap.build``), and
-    ``sweeper``, which when set replaces the default sweep — it is called
-    with the surface and a ``should_cancel`` poll (or None) and returns
-    the ``HeatMapResult`` to delegate to.  ``HeatMapService`` sets both,
-    to honour its ``workers`` setting, count sweeps and arm its fault
-    points.
+    One attribute belongs to whoever serves the surface: ``sweeper``,
+    which when set replaces the default sweep — it is called with the
+    surface and a ``should_cancel`` poll (or None) and returns the
+    ``HeatMapResult`` to delegate to.  ``HeatMapService`` sets it to count
+    sweeps and arm its fault points.
     """
 
     #: Serialization tag (see ``repro.core.serialize``).
@@ -135,7 +133,6 @@ class NNCircleSurface:
             raise InvalidInputError(
                 f"circle surfaces run under l2/linf, not {self.metric_name!r}"
             )
-        self.workers = None
         self.sweeper = None
         self._sweep_lock = threading.Lock()
         self._swept = None
@@ -605,7 +602,7 @@ class NNCircleSurface:
 
         return sweep_circles(
             self.circles, SizeMeasure(), self.transform, self.engine,
-            workers=self.workers, should_cancel=should_cancel,
+            should_cancel=should_cancel,
         )
 
     def arrangement(self, should_cancel=None):

@@ -1,11 +1,11 @@
-"""Vectorized CREST engines over flat numpy arrays (the batched path).
+"""The vectorized CREST-L2 arc sweep over flat numpy arrays.
 
-The loop engines (:mod:`.sweep_linf`, :mod:`.sweep_l2`) spend most of
-their time in per-event Python: the L2 midpoint re-sort re-keys every
-live arc through ``Arc.y_at`` calls, pair bookkeeping rebuilds a dict of
-every adjacent pair per batch, and each label costs one Python
-``measure()`` call.  This module re-implements both sweeps around flat
-parallel arrays:
+This is the sweep ``crest`` runs under L2.  The loop engine
+(:mod:`.sweep_l2`, registered as the non-public ``crest-l2``) spends most
+of its time in per-event Python: the midpoint re-sort re-keys every live
+arc through ``Arc.y_at`` calls, pair bookkeeping rebuilds a dict of every
+adjacent pair per batch, and each label costs one Python ``measure()``
+call.  This module re-implements the sweep around flat parallel arrays:
 
 * **Event construction** is batched: circle-pair intersection math runs
   once over the grid index's pair arrays
@@ -14,33 +14,31 @@ parallel arrays:
   scalar call per pair, and the event queue sorts with one stable
   ``np.lexsort``.
 * **The status structure is a set of parallel columns** — a sorted
-  ``uid`` array plus per-uid geometry columns indexed by it — so the L2
+  ``uid`` array plus per-uid geometry columns indexed by it — so the
   midpoint re-sort is one vectorized ``y_at`` evaluation and one
   ``np.lexsort``, dirty-block detection is a position gather over the
   flat status, and adjacent-pair births/deaths diff as packed int64 keys
-  through sorted-array membership tests.  The L-infinity status keeps
-  its (y, kind, idx) columns in capacity-managed arrays edited with
-  memmove-style slice shifts.
+  through sorted-array membership tests.
 * **Measure calls are batched per event batch**: labels collected during
   the dirty walk are evaluated through
   :meth:`~repro.influence.measures.InfluenceMeasure.measure_many`, then
   post-processed in label order so max-heat tracking, stats counters and
-  ``on_label`` callbacks observe the exact sequence the loop engines
-  produce.
+  ``on_label`` callbacks observe the exact sequence the loop engine
+  produces.
 
-Both engines promise **bit-identical output** to their loop twins: the
-same fragments, the same ``SweepStats`` counters, the same maxima.  Every
-floating-point step mirrors the scalar code operation for operation
-(``clip``/``maximum``/``sqrt`` compose exactly like the branches in
-``Arc.y_at``), sort keys are unique so the stable ``lexsort`` order
-equals the loop's ``sorted()`` order, and measures are either called
-per-set in order (the default ``measure_many``) or vectorized only where
-exactness is guaranteed.  ``tests/test_batched_sweep.py`` enforces the
-contract property-style; the loop engines remain registered as the
-oracle.
+The output is **bit-identical** to the loop sweep's: the same fragments,
+the same ``SweepStats`` counters, the same maxima and ``on_label``
+sequence.  Every floating-point step mirrors the scalar code operation
+for operation (``clip``/``maximum``/``sqrt`` compose exactly like the
+branches in ``Arc.y_at``), sort keys are unique so the stable
+``lexsort`` order equals the loop's ``sorted()`` order, and measures are
+either called per-set in order (the default ``measure_many``) or
+vectorized only where exactness is guaranteed.
+``tests/test_batched_sweep.py`` enforces the contract property-style
+against ``crest-l2``.
 
-Cancellation: both engines poll an optional ``should_cancel`` callback
-once per event batch and raise
+Cancellation: the sweep polls an optional ``should_cancel`` callback
+once per event batch and raises
 :class:`~repro.errors.BuildCancelledError` when it fires, so an
 abandoned build stops within one batch.
 """
@@ -54,19 +52,15 @@ from ..geometry.arcs import LOWER_ARC, Arc, circle_intersections_many
 from ..geometry.circle import NNCircleSet
 from ..geometry.transforms import IDENTITY, Transform
 from ..index.grid import UniformGridIndex
-from .intervals import merge_intervals
 from .regionset import RegionSet
 from .sweep_l2 import _ArcFragmentAssembler
-from .sweep_linf import SweepStats, _check_cancel, _FragmentAssembler
+from .sweep_linf import SweepStats, _check_cancel
 
-__all__ = ["run_crest_batched", "run_crest_l2_batched"]
+__all__ = ["run_crest_l2_batched"]
 
 _EXTREME_LEFT = 0
 _CROSS = 1
 _EXTREME_RIGHT = 2
-
-_INSERT = 0
-_REMOVE = 1
 
 
 def _measure_batch(measure, sets: list) -> "list[float]":
@@ -87,9 +81,6 @@ def _setdiff_sorted(keys: np.ndarray, other_sorted: np.ndarray) -> np.ndarray:
     return keys[other_sorted[pos] != keys]
 
 
-# ----------------------------------------------------------------------
-# L2: the arc sweep
-# ----------------------------------------------------------------------
 def _build_l2_event_arrays(circles: NNCircleSet):
     """The L2 event queue as sorted parallel arrays.
 
@@ -447,267 +438,4 @@ def run_crest_l2_batched(
         fragments = assembler.finish(x)
         stats.n_fragments = len(fragments)
         region_set = RegionSet(fragments, transform, default_heat, "l2")
-    return stats, region_set
-
-
-# ----------------------------------------------------------------------
-# L-infinity: the segment sweep
-# ----------------------------------------------------------------------
-def _build_linf_event_arrays(circles: NNCircleSet):
-    """The L-infinity event queue sorted by full (x, op, idx) tuples —
-    exactly :func:`~repro.core.elements.build_events`'s list order."""
-    n = len(circles)
-    ex = np.concatenate([circles.x_lo, circles.x_hi])
-    eop = np.concatenate([
-        np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)
-    ])
-    ei = np.tile(np.arange(n, dtype=np.int64), 2)
-    order = np.lexsort((ei, eop, ex))
-    return ex[order], eop[order], ei[order]
-
-
-class _FlatStatus:
-    """The L-infinity line status as three parallel sorted arrays.
-
-    Keys are (y, kind, idx) exactly as in :class:`SortedKeyList`; lookups
-    ``searchsorted`` the y column and resolve the (rare, short) tie runs
-    by scalar comparison.  The columns live in capacity-managed arrays
-    sized for the whole circle set up front, so an edit is a
-    memmove-style slice shift of each column instead of an allocating
-    ``np.insert``/``np.delete``.
-    """
-
-    __slots__ = ("y", "kind", "idx", "n")
-
-    def __init__(self, capacity: int) -> None:
-        capacity = max(capacity, 1)
-        self.y = np.empty(capacity)
-        self.kind = np.empty(capacity, dtype=np.int64)
-        self.idx = np.empty(capacity, dtype=np.int64)
-        self.n = 0
-
-    def __len__(self) -> int:
-        return self.n
-
-    def key_at(self, p: int) -> tuple:
-        return (float(self.y[p]), int(self.kind[p]), int(self.idx[p]))
-
-    def _locate(self, key: tuple) -> int:
-        """bisect_left position of ``key`` among the stored keys."""
-        y, kind, idx = key
-        n = self.n
-        ycol, kcol, icol = self.y, self.kind, self.idx
-        lo = int(ycol[:n].searchsorted(y, side="left"))
-        while lo < n and ycol[lo] == y and (int(kcol[lo]), int(icol[lo])) < (kind, idx):
-            lo += 1
-        return lo
-
-    def insert_with_neighbors(self, key: tuple):
-        p = self._locate(key)
-        n = self.n
-        pred = self.key_at(p - 1) if p > 0 else None
-        succ = self.key_at(p) if p < n else None
-        y, kind, idx = self.y, self.kind, self.idx
-        y[p + 1:n + 1] = y[p:n]
-        kind[p + 1:n + 1] = kind[p:n]
-        idx[p + 1:n + 1] = idx[p:n]
-        y[p] = key[0]
-        kind[p] = key[1]
-        idx[p] = key[2]
-        self.n = n + 1
-        return pred, succ
-
-    def remove_with_neighbors(self, key: tuple):
-        p = self._locate(key)
-        n = self.n
-        pred = self.key_at(p - 1) if p > 0 else None
-        succ = self.key_at(p + 1) if p + 1 < n else None
-        y, kind, idx = self.y, self.kind, self.idx
-        y[p:n - 1] = y[p + 1:n]
-        kind[p:n - 1] = kind[p + 1:n]
-        idx[p:n - 1] = idx[p + 1:n]
-        self.n = n - 1
-        return pred, succ
-
-    def succ_of_key(self, key: tuple):
-        p = self._locate(key)
-        n = self.n
-        if p >= n or self.y[p] != key[0] or self.kind[p] != key[1] or self.idx[p] != key[2]:
-            return None
-        return self.key_at(p + 1) if p + 1 < n else None
-
-
-def run_crest_batched(
-    circles: NNCircleSet,
-    measure,
-    *,
-    collect_fragments: bool = True,
-    transform: Transform = IDENTITY,
-    on_label=None,
-    should_cancel=None,
-) -> "tuple[SweepStats, RegionSet | None]":
-    """Vectorized CREST (changed-interval mode): same contract and
-    bit-identical output as :func:`~repro.core.sweep_linf.run_crest` with
-    ``use_changed_intervals=True``."""
-    stats = SweepStats(n_circles=len(circles), algorithm="crest-batched")
-    default_heat = float(measure(frozenset()))
-    if len(circles) == 0:
-        return stats, (RegionSet([], transform, default_heat) if collect_fragments else None)
-
-    y_lo = circles.y_lo.tolist()
-    y_hi = circles.y_hi.tolist()
-    cids = circles.client_ids.tolist()
-
-    status = _FlatStatus(2 * len(circles))
-    records: "dict[int, tuple[frozenset, float | None]]" = {}
-    assembler = _FragmentAssembler() if collect_fragments else None
-
-    ex, eop, ei = _build_linf_event_arrays(circles)
-    stats.n_events = len(ex)
-    exl = ex.tolist()
-    eopl = eop.tolist()
-    eil = ei.tolist()
-    bounds = [0] + (np.flatnonzero(np.diff(ex) != 0.0) + 1).tolist() + [len(exl)]
-
-    # Deferred max-point bookkeeping: the hottest pair's slab ends at the
-    # *next* event, so its representative x is fixed up one batch later.
-    pending_max: "list | None" = None  # [x_event, y_mid]
-
-    def finalize_pending(x_now: float) -> None:
-        nonlocal pending_max
-        if pending_max is not None:
-            stats.max_heat_point = ((pending_max[0] + x_now) / 2.0, pending_max[1])
-            pending_max = None
-
-    x = 0.0
-    for bb in range(len(bounds) - 1):
-        _check_cancel(should_cancel)
-        s = bounds[bb]
-        e = bounds[bb + 1]
-        x = exl[s]
-        finalize_pending(x)
-        changed: "list[tuple[float, float]]" = []
-        born: "list[tuple[tuple, tuple]]" = []
-        for t in range(s, e):
-            idx = eil[t]
-            kl = (y_lo[idx], 0, idx)
-            ku = (y_hi[idx], 1, idx)
-            if eopl[t] == _INSERT:
-                for key in (kl, ku):
-                    pred, succ = status.insert_with_neighbors(key)
-                    if assembler is not None:
-                        if pred is not None and succ is not None:
-                            assembler.close(
-                                (2 * pred[2] + pred[1], 2 * succ[2] + succ[1]), x
-                            )
-                        if pred is not None:
-                            born.append((pred, key))
-                        if succ is not None:
-                            born.append((key, succ))
-            else:
-                for key in (ku, kl):
-                    pred, succ = status.remove_with_neighbors(key)
-                    if assembler is not None:
-                        u = 2 * key[2] + key[1]
-                        if pred is not None:
-                            assembler.close((2 * pred[2] + pred[1], u), x)
-                        if succ is not None:
-                            assembler.close((u, 2 * succ[2] + succ[1]), x)
-                        if pred is not None and succ is not None:
-                            born.append((pred, succ))
-                records.pop(2 * idx, None)
-                records.pop(2 * idx + 1, None)
-            changed.append((y_lo[idx], y_hi[idx]))
-        stats.n_event_batches += 1
-        stats.changed_intervals += len(changed)
-
-        merged = merge_intervals(changed)
-        stats.merged_intervals += len(merged)
-        # Walk each merged interval over the flat columns.  Base-set
-        # records (the frozenset part) are written inline — a later
-        # interval's predecessor may sit inside an earlier one — while
-        # heats defer to one measure_many batch.
-        pend: "list[tuple[int, frozenset, tuple, tuple]]" = []
-        n_status = status.n
-        sy = status.y[:n_status]
-        for lo, hi in merged:
-            a = int(sy.searchsorted(lo, side="left"))
-            if a >= n_status or sy[a] > hi:
-                continue
-            b2 = int(sy.searchsorted(hi, side="right"))
-            if a > 0:
-                pk = int(status.kind[a - 1])
-                pi_ = int(status.idx[a - 1])
-                working = set(records[2 * pi_ + pk][0])
-            else:
-                working = set()
-            seg_end = min(b2 + 1, n_status)
-            ys_l = sy[a:seg_end].tolist()
-            kinds_l = status.kind[a:seg_end].tolist()
-            idxs_l = status.idx[a:seg_end].tolist()
-            for t in range(b2 - a):
-                y = ys_l[t]
-                kind = kinds_l[t]
-                idx = idxs_l[t]
-                if kind == 0:
-                    working.add(cids[idx])
-                else:
-                    working.discard(cids[idx])
-                if t + 1 >= len(ys_l):
-                    records[2 * idx + kind] = (frozenset(working), None)
-                elif ys_l[t + 1] > y:
-                    fs = frozenset(working)
-                    records[2 * idx + kind] = (fs, None)  # heat fills below
-                    pend.append((
-                        2 * idx + kind, fs,
-                        (y, kind, idx),
-                        (ys_l[t + 1], kinds_l[t + 1], idxs_l[t + 1]),
-                    ))
-
-        if pend:
-            heats = _measure_batch(measure, [pp[1] for pp in pend])
-            stats.labels += len(pend)
-            stats.measure_calls += len(pend)
-            for (u, fs, cur, nxt), heat in zip(pend, heats):
-                if len(fs) > stats.max_rnn_size:
-                    stats.max_rnn_size = len(fs)
-                if heat > stats.max_heat:
-                    stats.max_heat = heat
-                    stats.max_heat_rnn = fs
-                    pending_max = [x, (cur[0] + nxt[0]) / 2.0]
-                records[u] = (fs, heat)
-                if assembler is not None:
-                    assembler.label(x, cur, nxt, fs, heat)
-                if on_label is not None:
-                    on_label(fs, heat)
-
-        if assembler is not None:
-            for lo_key, hi_key in born:
-                if lo_key[0] >= hi_key[0]:
-                    continue  # invalid pair (no interior)
-                if status.succ_of_key(lo_key) != hi_key:
-                    continue  # pair died within this batch
-                rec = records.get(2 * lo_key[2] + lo_key[1])
-                if rec is None:
-                    continue  # pair's lower element left the status
-                fs, heat = rec
-                if heat is None:
-                    # Records written at the status top carry no heat;
-                    # their set is empty by the sweep invariant, but
-                    # recompute defensively if it ever is not.
-                    if fs:
-                        heat = float(measure(fs))
-                        stats.measure_calls += 1
-                    else:
-                        heat = default_heat
-                assembler.ensure_open(x, lo_key, hi_key, fs, heat)
-
-    finalize_pending(x)
-    region_set = None
-    if assembler is not None:
-        fragments = assembler.finish(x)
-        stats.n_fragments = len(fragments)
-        region_set = RegionSet(
-            fragments, transform, default_heat, circles.metric.name
-        )
     return stats, region_set

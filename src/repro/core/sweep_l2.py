@@ -14,6 +14,11 @@ Base sets and changed intervals carry over from the L-infinity engine:
 records are cached per arc, and only *dirty blocks* — arcs of inserted
 circles, arcs strictly between an inserted/removed circle's own arcs, and
 arcs involved in a swap — are walked and relabeled.
+
+This loop sweep is registered as the non-public ``crest-l2``: the
+reference that ``crest``'s vectorized arc sweep
+(:mod:`.sweep_batched`) must match bit for bit.  The paper-figure runs
+call it directly.
 """
 
 from __future__ import annotations

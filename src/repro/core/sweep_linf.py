@@ -62,13 +62,6 @@ class SweepStats:
     max_heat_point: "tuple[float, float] | None" = None
     n_fragments: int = 0
     algorithm: str = "crest"
-    # Parallel-pipeline provenance (repro.parallel): serial sweeps keep the
-    # defaults; slab-partitioned builds record the plan actually executed
-    # and the wall-clock seconds spent moving fragments between processes
-    # (worker-side column packing + parent-side claim and rebuild).
-    n_slabs: int = 1
-    n_workers: int = 1
-    transport_s: float = 0.0
     # Retired: always 1.0, read by perfbench's live-update replay.
     dirty_fraction: float = 1.0
 

@@ -45,8 +45,8 @@ class InfluenceMeasure:
         raise NotImplementedError
 
     def measure_many(self, rnn_sets: "list[frozenset]") -> "list[float]":
-        """Influence of each set, in order — the batched engines' entry
-        point (one call per event batch instead of one per label).
+        """Influence of each set, in order — the vectorized L2 sweep's
+        entry point (one call per event batch instead of one per label).
 
         The default delegates to ``self(fs)`` per set, preserving every
         measure's exact float semantics (e.g. ``WeightedMeasure``'s

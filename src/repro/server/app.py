@@ -493,8 +493,6 @@ class HeatMapHTTPApp(BaseHTTPApp):
             is created from the remaining keyword arguments.
         max_workers: executor bound of the default service (ignored when
             ``service`` is passed).
-        build_workers: default process-worker count for cold sweeps
-            (``HeatMapService(workers=...)``).
         max_points: largest accepted probe batch per ``/query`` request.
         max_body_bytes: largest accepted request body.
         max_inflight: admission-control bound — requests arriving past
@@ -522,7 +520,6 @@ class HeatMapHTTPApp(BaseHTTPApp):
         service: "AsyncHeatMapService | None" = None,
         *,
         max_workers: int = 8,
-        build_workers: "int | None" = None,
         max_points: int = 1_000_000,
         max_body_bytes: int = 64 * 1024 * 1024,
         max_inflight: "int | None" = None,
@@ -534,7 +531,7 @@ class HeatMapHTTPApp(BaseHTTPApp):
     ) -> None:
         if service is None:
             service = AsyncHeatMapService(
-                max_workers=max_workers, workers=build_workers, **service_kwargs
+                max_workers=max_workers, **service_kwargs
             )
         elif service_kwargs:
             raise TypeError(

@@ -88,10 +88,9 @@ class AsyncHeatMapService:
     Args:
         service: an existing service to wrap; by default a new one is
             created from ``**service_kwargs`` (``max_results``,
-            ``max_tiles``, ``tile_size``, ``store_dir``, ``workers``).
+            ``max_tiles``, ``tile_size``, ``store_dir``).
         max_workers: bound of the default ``ThreadPoolExecutor`` the
-            blocking calls run on.  Cold *builds* may additionally fan out
-            to worker processes via the service's ``workers=`` setting.
+            blocking calls run on.
         executor: bring-your-own bounded executor (then ``max_workers`` is
             ignored and :meth:`close` leaves it running).  It must share
             memory with this process — thread pools yes, process pools no.
@@ -248,7 +247,6 @@ class AsyncHeatMapService:
         measure=None,
         monochromatic: bool = False,
         k: int = 1,
-        workers: "int | None" = None,
         fingerprint: "str | None" = None,
         engine_options: "dict | None" = None,
         should_cancel=None,
@@ -293,7 +291,7 @@ class AsyncHeatMapService:
             return self.service.build(
                 clients, facilities, metric=metric, algorithm=algorithm,
                 measure=measure, monochromatic=monochromatic, k=k,
-                workers=workers, fingerprint=handle,
+                fingerprint=handle,
                 engine_options=engine_options, should_cancel=poll,
             )
 

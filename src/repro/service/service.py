@@ -68,17 +68,10 @@ __all__ = ["HeatMapService", "ServiceStats", "request_fingerprint"]
 #: costs its holder one full re-fetch on the next update.
 _TILE_GENS_PER_SLOT = 4
 
-#: Engines producing the same subdivision as the serial 'crest' sweep share
-#: cache keys (and disk-store entries) with it — the fingerprint carries
-#: only worker-invariant configuration, and the explicit 'crest-l2' alias
-#: dispatches to the very runner 'crest' uses under L2.
-_CANONICAL_ALGORITHM = {
-    "linf-parallel": "crest",
-    "l2-parallel": "crest",
-    "crest-l2": "crest",
-    "l2-batched": "crest",
-    "linf-batched": "crest",
-}
+#: Engines producing the same subdivision as 'crest' share cache keys (and
+#: disk-store entries) with it: 'crest-l2', the loop arc sweep, is
+#: bit-identical to the vectorized one 'crest' runs under L2.
+_CANONICAL_ALGORITHM = {"crest-l2": "crest"}
 
 
 def _canonical_algorithm(algorithm: str, metric: str) -> str:
@@ -236,9 +229,6 @@ class HeatMapService:
             every process sharing the directory; the others block briefly
             and promote the finished entry.  Ignored without a
             ``store_dir``.
-        workers: default worker count for cold builds (see
-            :class:`~repro.core.heatmap.RNNHeatMap.build`); per-call
-            ``workers=`` overrides it.
 
     Handles returned by :meth:`build` are input fingerprints — requesting
     the same build twice returns the same handle without re-sweeping.
@@ -260,14 +250,12 @@ class HeatMapService:
         tile_size: int = 256,
         store_dir=None,
         shared_store: bool = False,
-        workers: "int | None" = None,
     ) -> None:
         self._results = LRUCache(max_results)
         self._tiles = LRUCache(max_tiles)
         self.tile_size = int(tile_size)
         self.store = ResultStore(store_dir) if store_dir is not None else None
         self.shared_store = bool(shared_store) and self.store is not None
-        self.default_workers = workers
         self.stats = ServiceStats()
         #: Guards compound registry mutations (admit/evict/generation) —
         #: held only for dict/LRU bookkeeping, never across a sweep.
@@ -305,19 +293,11 @@ class HeatMapService:
         measure=None,
         monochromatic: bool = False,
         k: int = 1,
-        workers: "int | None" = None,
         fingerprint: "str | None" = None,
         engine_options: "dict | None" = None,
         should_cancel=None,
     ) -> str:
         """Build (or recall) a heat map; returns its fingerprint handle.
-
-        ``workers`` (default: the service-level setting) runs a cold build
-        through the slab-partitioned multi-process pipeline.  The
-        fingerprint covers worker-invariant configuration only — serial and
-        parallel builds of the same inputs share one cache entry, and a
-        parallel engine name ('linf-parallel'/'l2-parallel') keys the same
-        entry as 'crest'.
 
         ``engine_options`` are the engine's knobs (e.g. ``recall`` /
         ``seed`` for the approximate engines); they are normalized against
@@ -356,8 +336,6 @@ class HeatMapService:
         :class:`~repro.errors.BuildCancelledError` (cache hits and store
         promotions are unaffected — they do no build work).
         """
-        if workers is None:
-            workers = self.default_workers
         spec = REGISTRY.get(algorithm)
         options = spec.normalized_options(engine_options)
         handle = fingerprint
@@ -393,7 +371,7 @@ class HeatMapService:
                         promoted = None
                     if promoted is not None:
                         self.stats.inc("promotions")
-                        self._bind(promoted, workers)
+                        self._bind(promoted)
                         self._admit(
                             handle,
                             _Entry(promoted, world_bounds(promoted.region_set)),
@@ -431,10 +409,8 @@ class HeatMapService:
                             raise BuildCancelledError("build cancelled")
                         result = hm.surface(algorithm)
                     else:
-                        result = hm.build(
-                            algorithm, workers=workers, should_cancel=poll
-                        )
-                self._bind(result, workers)
+                        result = hm.build(algorithm, should_cancel=poll)
+                self._bind(result)
                 self.stats.inc("builds")
                 if self.shared_store:
                     # Write through while the lease is held, so waiting
@@ -451,12 +427,11 @@ class HeatMapService:
                 )
         return handle
 
-    def _bind(self, result: HeatMapResult, workers) -> None:
+    def _bind(self, result: HeatMapResult) -> None:
         """Route a circle surface's on-demand sweep through this service:
-        counted in ``sweeps``, run with ``workers``, fault points armed."""
+        counted in ``sweeps``, fault points armed."""
         surface = result.region_set
         if isinstance(surface, NNCircleSurface):
-            surface.workers = workers
             surface.sweeper = self._sweep
 
     def _sweep(self, surface: NNCircleSurface, should_cancel) -> HeatMapResult:
@@ -491,12 +466,11 @@ class HeatMapService:
         region when the map can bound it (no-op update batches invalidate
         nothing at all).  Each result the map builds is bound like a
         static build's: a circle surface's on-demand sweep is counted in
-        ``sweeps``, runs with the service's ``workers`` and fires the
-        ``sweep-batch`` fault point.
+        ``sweeps`` and fires the ``sweep-batch`` fault point.
         """
         handle = name if name is not None else f"dynamic:{id(dynamic):x}"
         result = dynamic.result()
-        self._bind(result, self.default_workers)
+        self._bind(result)
         entry = _Entry(
             result, world_bounds(result.region_set),
             dynamic=dynamic, version=dynamic.version,
@@ -551,7 +525,7 @@ class HeatMapService:
             # dirty map trigger exactly one rebuild.
             result = dyn.result()
             if dyn.version != entry.version:
-                self._bind(result, self.default_workers)
+                self._bind(result)
                 old_world = entry.world
                 new_world = world_bounds(result.region_set)
                 rects = None

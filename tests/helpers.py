@@ -62,9 +62,9 @@ def assert_same_answers(reference, candidates, probes, *, top_k: int = 10):
     result)`` candidate expose ``heat_at_many`` / ``rnn_at_many`` /
     ``region_set.top_k_heats`` (a ``HeatMapResult`` does), and every
     answer — heat batch, RNN set batch, top-k list — must be *identical*,
-    not merely close.  Serial, slab-parallel and batched builds of the
-    same instance all promise bit-equal subdivisions; this is the single
-    gate they share.
+    not merely close.  A metric's sweep, its reference sweep and a
+    dynamic map driven to the same instance all promise the same
+    answers; this is the single gate they share.
     """
     ref_heats = reference.heat_at_many(probes)
     ref_rnns = reference.rnn_at_many(probes)

@@ -1,9 +1,8 @@
 """Build cancellation: the ``should_cancel`` hook, engine to async edge.
 
 Every sweep engine polls the hook once per event batch and abandons the
-build with ``BuildCancelledError``; the parallel pipeline forwards it (per
-batch in-process, per slab across the pool); the service layer threads it
-through ``build``; and the async front end sets it automatically when a
+build with ``BuildCancelledError``; the service layer threads it through
+``build``; and the async front end sets it automatically when a
 build's leader disconnects with no coalesced followers waiting — the
 regression this module pins down with a counting hook.
 """
@@ -40,8 +39,8 @@ def instance(rng):
 
 class TestEngineHook:
     @pytest.mark.parametrize("metric,algorithm", [
-        ("l2", "crest"), ("l2", "l2-batched"),
-        ("linf", "crest"), ("linf", "crest-a"), ("linf", "linf-batched"),
+        ("l2", "crest"), ("l2", "crest-l2"),
+        ("linf", "crest"), ("linf", "crest-a"),
     ])
     def test_cancel_lands_within_one_batch(self, metric, algorithm, instance):
         O, F = instance
@@ -51,8 +50,8 @@ class TestEngineHook:
         assert hook.polls == 6  # poll 6 returned True and stopped the sweep
 
     @pytest.mark.parametrize("metric,algorithm", [
-        ("l2", "crest"), ("l2", "l2-batched"),
-        ("linf", "crest"), ("linf", "linf-batched"),
+        ("l2", "crest"), ("l2", "crest-l2"),
+        ("linf", "crest"),
     ])
     def test_uncancelled_build_polls_once_per_batch(
         self, metric, algorithm, instance
@@ -70,24 +69,6 @@ class TestEngineHook:
         assert hm.build("crest").stats.labels == hm.build(
             "crest", should_cancel=None
         ).stats.labels
-
-
-class TestParallelHook:
-    def test_in_process_slabs_poll_per_batch(self, instance):
-        O, F = instance
-        hook = CountingHook(cancel_after=5)
-        hm = RNNHeatMap(O, F, metric="l2")
-        with pytest.raises(BuildCancelledError):
-            # workers=1 takes the deterministic in-process path, where the
-            # slab engine itself polls the hook.
-            hm.build("l2-parallel", workers=1, should_cancel=hook)
-        assert hook.polls == 6
-
-    def test_pool_path_cancels_between_slabs(self, instance):
-        O, F = instance
-        hm = RNNHeatMap(O, F, metric="linf")
-        with pytest.raises(BuildCancelledError):
-            hm.build("linf-parallel", workers=2, should_cancel=lambda: True)
 
 
 class TestServiceHook:

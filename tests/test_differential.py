@@ -1,9 +1,10 @@
 """Differential test harness: one oracle over every build path.
 
-Seeded randomized workloads run the serial engine, the slab-partitioned
-``*-parallel`` pipeline and the batched engines over the same instances
-and assert *identical* ``heat_at_many`` / ``rnn_at_many`` /
-``top_k_heats`` answers (``helpers.assert_same_answers``).  Dynamic maps
+Seeded randomized workloads run each metric's sweep and its reference
+(the loop arc sweep ``crest-l2`` under L2, the ``crest-a`` ablation under
+L-infinity) over the same instances and assert *identical*
+``heat_at_many`` / ``rnn_at_many`` / ``top_k_heats`` answers
+(``helpers.assert_same_answers``).  Dynamic maps
 are held to brute force over their current points after every update
 (``helpers.assert_matches_brute_force``), and to the static builds at
 the end.
@@ -31,34 +32,19 @@ def _instance(seed: int, metric: str):
 CASES = [(seed, metric) for seed in (11, 23) for metric in ("l2", "linf")]
 
 
-@pytest.mark.parametrize("seed,metric", CASES)
-def test_serial_vs_parallel_pipeline(seed, metric):
-    """The multi-process pipeline answers exactly like the serial sweep,
-    both through the explicit parallel engine name and through workers=."""
-    clients, facilities, probes = _instance(seed, metric)
-    serial = RNNHeatMap(clients, facilities, metric=metric).build("crest")
-    hm = RNNHeatMap(clients, facilities, metric=metric)
-    candidates = [
-        ("workers=2", hm.build("crest", workers=2)),
-        (f"{hm.sweep_metric_name}-parallel",
-         hm.build(f"{hm.sweep_metric_name}-parallel", workers=1)),
-    ]
-    assert_same_answers(serial, candidates, probes)
-
-
-@pytest.mark.parametrize("seed,metric", CASES)
+@pytest.mark.parametrize("seed,metric", [(11, "l2"), (23, "l2")])
 def test_serial_vs_batched_engines(seed, metric):
-    """The vectorized batched engines answer exactly like the loop sweep
-    and perform the identical labeled work (same sweep counters)."""
+    """The vectorized arc sweep 'crest' runs under L2 answers exactly like
+    the loop sweep and performs the identical labeled work (same sweep
+    counters)."""
     clients, facilities, probes = _instance(seed, metric)
     hm = RNNHeatMap(clients, facilities, metric=metric)
-    serial = hm.build("crest")
-    name = f"{hm.sweep_metric_name}-batched"
-    batched = hm.build(name)
-    assert_same_answers(serial, [(name, batched)], probes)
-    assert batched.stats.labels == serial.stats.labels
-    assert batched.stats.measure_calls == serial.stats.measure_calls
-    assert batched.stats.max_heat == serial.stats.max_heat
+    loop = hm.build("crest-l2")
+    batched = hm.build("crest")
+    assert_same_answers(loop, [("crest", batched)], probes)
+    assert batched.stats.labels == loop.stats.labels
+    assert batched.stats.measure_calls == loop.stats.measure_calls
+    assert batched.stats.max_heat == loop.stats.max_heat
 
 
 @pytest.mark.parametrize("seed,metric", CASES)
@@ -90,8 +76,9 @@ def test_dynamic_path_vs_brute_force(seed, metric):
 
 @pytest.mark.parametrize("metric", ["l2", "linf"])
 def test_three_paths_converge_on_one_state(metric):
-    """Serial, parallel and dynamic arrive at the same *final* state by
-    different roads and must answer identically.
+    """The reference sweep ('crest-l2' under L2, 'crest-a' under
+    L-infinity), 'crest' and the dynamic map arrive at the same *final*
+    state by different roads and must answer identically.
 
     The dynamic path starts from a perturbed world and is driven back to
     the target configuration by updates; after each one it must answer
@@ -100,10 +87,10 @@ def test_three_paths_converge_on_one_state(metric):
     seed = 37
     clients, facilities, probes = _instance(seed, metric)
 
-    serial = RNNHeatMap(clients, facilities, metric=metric).build("crest")
-    parallel = RNNHeatMap(clients, facilities, metric=metric).build(
-        "crest", workers=2
+    reference = RNNHeatMap(clients, facilities, metric=metric).build(
+        "crest-l2" if metric == "l2" else "crest-a"
     )
+    crest = RNNHeatMap(clients, facilities, metric=metric).build("crest")
 
     # Perturb: displace the first three clients, then move them back one by
     # one through the dynamic update API.
@@ -117,7 +104,5 @@ def test_three_paths_converge_on_one_state(metric):
         assert_matches_brute_force(dyn, dyn.result(), probes, f"move {i}")
 
     assert_same_answers(
-        serial,
-        [("parallel workers=2", parallel), ("dynamic", dyn.result())],
-        probes,
+        reference, [("crest", crest), ("dynamic", dyn.result())], probes
     )

@@ -23,7 +23,6 @@ REQUIRED_DOCS = (
     "docs/architecture.md",
     "docs/http-api.md",
     "docs/serving.md",
-    "docs/parallel-builds.md",
     "docs/performance.md",
     "docs/incremental-updates.md",
     "docs/async-serving.md",

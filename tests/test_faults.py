@@ -307,7 +307,7 @@ def test_save_embeds_checksum_and_round_trips(tmp_path):
     restored = svc.store.load(handle)
     assert restored is not None
     assert not hasattr(restored.stats, "npz_blake2b")  # filtered out
-    assert restored.stats.algorithm == "crest-l2"
+    assert restored.stats.algorithm == "crest-l2-batched"
 
 
 def test_corrupt_entry_is_quarantined_and_rebuilt(tmp_path):

@@ -572,12 +572,11 @@ def test_default_tile_fetch_is_the_real_render():
 
 
 def test_build_body_cannot_set_worker_processes():
-    """``workers`` is not a build field: a request carrying one sweeps
-    in-process, so no client can fork the server's worker pool."""
-    from repro.parallel import close_pool, pool_stats
+    """``workers`` is an ignored build field: a request carrying one
+    sweeps in-process, so no client can make the server start processes."""
+    import multiprocessing
 
     rng = np.random.default_rng(SEED + 5)
-    close_pool()
     with ThreadedHTTPServer(tile_size=16) as srv:
         _s, ds = _post(srv.url + "/datasets", {
             "clients": rng.random((60, 2)).tolist(),
@@ -590,7 +589,21 @@ def test_build_body_cannot_set_worker_processes():
         assert _poll_ready(srv.url, handle)["status"] == "ready"
         _s, got = _post(f"{srv.url}/query/{handle}", {"kind": "top-k", "k": 3})
         assert len(got["heats"]) == 3
-        assert pool_stats()["alive"] is False
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("name", [
+    "l2-batched", "linf-batched", "l2-parallel", "linf-parallel",
+])
+def test_retired_engine_names_answer_400(server, name):
+    rng = np.random.default_rng(SEED + 6)
+    _s, ds = _post(server.url + "/datasets", {
+        "clients": rng.random((20, 2)).tolist(),
+        "facilities": rng.random((4, 2)).tolist(),
+    })
+    with pytest.raises(urllib.error.HTTPError) as exc:
+        _post(server.url + "/build", {"dataset": ds["dataset"], "algorithm": name})
+    assert exc.value.code == 400
 
 
 def test_evicted_build_reports_evicted_not_ready():

@@ -1,5 +1,5 @@
 """Dynamic-map rebuilds: the brute-force gate, dirty-rect edge cases,
-deferred version bumps, partial tile invalidation, pool reuse."""
+deferred version bumps, partial tile invalidation."""
 
 import numpy as np
 import pytest
@@ -392,42 +392,3 @@ class TestPartialInvalidation:
         service.tile(h, 0, 0, 0)
         assert service.stats.tile_renders == renders + 1  # re-rendered
         assert service.stats.partial_invalidations == 0
-
-
-class TestSharedPool:
-    def test_pool_reused_across_builds(self, rng):
-        from repro.parallel import close_pool, pool_stats
-
-        O, F = rng.random((300, 2)), rng.random((60, 2))
-        hm = RNNHeatMap(O, F, metric="linf")
-        close_pool()
-        base = pool_stats()["created"]
-        first = hm.build("crest", workers=2)
-        assert first.stats.n_slabs == 2
-        assert pool_stats() == {"alive": True, "workers": 2, "created": base + 1}
-        hm.build("crest", workers=2)  # second build leases the same pool
-        assert pool_stats()["created"] == base + 1
-        # A different worker count must not resize the live pool: the
-        # build succeeds on a private per-build pool instead.
-        other = hm.build("crest", workers=3)
-        assert other.stats.n_workers == 3
-        assert pool_stats() == {"alive": True, "workers": 2, "created": base + 1}
-        close_pool()
-        assert pool_stats()["alive"] is False
-
-    def test_answers_identical_through_shared_pool(self, rng):
-        from repro.parallel import close_pool
-
-        O, F = rng.random((250, 2)), rng.random((50, 2))
-        hm = RNNHeatMap(O, F, metric="l2")
-        serial = hm.build("crest")
-        close_pool()
-        try:
-            probes = rng.random((2000, 2)) * 1.2 - 0.1
-            for _ in range(2):  # cold lease, then reuse
-                par = hm.build("crest", workers=2)
-                np.testing.assert_array_equal(
-                    par.heat_at_many(probes), serial.heat_at_many(probes)
-                )
-        finally:
-            close_pool()

@@ -20,9 +20,11 @@ class TestRegistryContents:
     def test_algorithms_derive_from_registry(self):
         assert ALGORITHMS == REGISTRY.names(public_only=True)
         assert ALGORITHMS == ("crest", "crest-a", "baseline", "superimposition",
-                              "l2-batched", "linf-batched",
-                              "linf-parallel", "l2-parallel",
                               "knn-graph", "lsh-rnn")
+        assert REGISTRY.names(public_only=False) == (
+            "crest", "crest-a", "baseline", "superimposition", "crest-l2",
+            "knn-graph", "lsh-rnn",
+        )
 
     def test_crest_l2_registered_non_public(self):
         spec = REGISTRY.get("crest-l2")
@@ -34,9 +36,6 @@ class TestRegistryContents:
         assert REGISTRY.get("baseline").metrics == {"linf"}
         assert REGISTRY.get("superimposition").measures == "size-like"
         assert REGISTRY.get("crest").measures == "any"
-        assert REGISTRY.get("linf-parallel").parallel
-        assert REGISTRY.get("l2-parallel").parallel
-        assert not REGISTRY.get("crest").parallel
 
     def test_lookup_is_case_insensitive(self):
         assert REGISTRY.get("CREST") is REGISTRY.get("crest")
@@ -72,6 +71,26 @@ class TestErrorSemantics:
         O, F = instance
         result = RNNHeatMap(O, F, metric="l2").build("crest-l2")
         assert result.stats.algorithm == "crest-l2"
+
+    def test_one_sweep_per_metric(self, instance):
+        """'crest' is the vectorized arc sweep under L2 and the loop
+        segment sweep under L1/L-infinity."""
+        O, F = instance
+        assert RNNHeatMap(O, F, metric="l2").build().stats.algorithm == (
+            "crest-l2-batched"
+        )
+        for metric in ("l1", "linf"):
+            assert RNNHeatMap(O, F, metric=metric).build().stats.algorithm == (
+                "crest"
+            )
+
+    @pytest.mark.parametrize("name", [
+        "l2-batched", "linf-batched", "l2-parallel", "linf-parallel",
+    ])
+    def test_retired_engine_names_are_unknown(self, name, instance):
+        O, F = instance
+        with pytest.raises(UnknownAlgorithmError):
+            RNNHeatMap(O, F, metric="l2").build(name)
 
     def test_measure_capability_error_preserved(self, instance):
         O, F = instance

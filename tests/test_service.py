@@ -1,5 +1,7 @@
 """HeatMapService: cached builds, batch serving, tiles, dynamic invalidation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -281,7 +283,30 @@ class TestPersistentStore:
         service.build(O, F, metric="l2")  # promote
         restored = service.result(h).stats
         assert restored.labels == labels > 0
-        assert restored.algorithm == "crest-l2"
+        assert restored.algorithm == "crest-l2-batched"
+
+    def test_sidecar_with_retired_stats_keys_still_promotes(
+        self, instance, tmp_path
+    ):
+        """A store written by an older version can carry counters this
+        one no longer has (``n_slabs``, ``n_workers``, ``transport_s``,
+        ``n_dirty_bands``); the loader drops the unknown keys and the
+        entry promotes unswept."""
+        O, F = instance
+        service = HeatMapService(max_results=1, store_dir=tmp_path)
+        h = service.build(O, F, metric="l2")
+        labels = service.result(h).stats.labels
+        service.build(O[:20], F, metric="l2")  # evict + demote
+        sidecar_path = tmp_path / f"{h}.stats.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        sidecar.update(n_slabs=2, n_workers=2, transport_s=0.25, n_dirty_bands=3)
+        sidecar_path.write_text(json.dumps(sidecar))
+        builds, sweeps = service.stats.builds, service.stats.sweeps
+
+        assert service.build(O, F, metric="l2") == h
+        assert service.stats.promotions == 1
+        assert service.result(h).stats.labels == labels > 0
+        assert (service.stats.builds, service.stats.sweeps) == (builds, sweeps)
 
     def test_without_store_eviction_still_forgets(self, instance):
         O, F = instance

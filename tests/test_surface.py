@@ -120,7 +120,7 @@ class TestSurfaceEqualsSweep:
     def test_payload_round_trip(self, metric, tmp_path):
         clients, facilities, probes = _instance(11)
         surface = RNNHeatMap(clients, facilities, metric=metric).surface(
-            "linf-batched" if metric == "l1" else "l2-batched"
+            "crest-a" if metric == "l1" else "crest-l2"
         ).region_set
         loaded = load_region_set(save_region_set(surface, tmp_path / "s.npz"))
         assert isinstance(loaded, NNCircleSurface)
@@ -243,7 +243,7 @@ class TestTangentCircles:
         "shared tangent point (one too high); fragment-level results "
         "(top-k, threshold, fragments) still carry it",
     )
-    @pytest.mark.parametrize("engine", ["crest", "l2-batched"])
+    @pytest.mark.parametrize("engine", ["crest", "crest-l2"])
     def test_sweep_answers_equal_brute_force(self, engine, probes):
         swept = RNNHeatMap(self.CLIENTS, self.FACILITIES, metric="l2").build(engine)
         want, tie = _brute_heat(probes, self.CLIENTS, self.FACILITIES)
@@ -331,8 +331,8 @@ class TestOnDemandSweep:
     def test_lazy_sweep_is_the_engine_sweep(self, instance):
         clients, facilities, _probes = instance
         hm = RNNHeatMap(clients, facilities, metric="linf")
-        surface = hm.surface("linf-batched").region_set
-        direct = sweep_circles(hm.circles, SizeMeasure(), hm.transform, "linf-batched")
+        surface = hm.surface("crest-a").region_set
+        direct = sweep_circles(hm.circles, SizeMeasure(), hm.transform, "crest-a")
         assert surface.arrangement().stats == direct.stats
         assert len(surface.fragments) == len(direct.region_set)
 

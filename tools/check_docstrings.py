@@ -36,7 +36,6 @@ PUBLIC_MODULES = (
     "approx/knn_graph.py",
     "approx/lsh.py",
     "approx/engines.py",
-    "parallel/shm.py",
     "dynamic/heatmap.py",
     "dynamic/assignment.py",
     "errors.py",
