@@ -1,12 +1,16 @@
 """Microbenchmarks for the index substrates the algorithms stand on:
 point-enclosure indexes (the baseline's S-tree stand-in vs R-tree vs
-brute force) and the kd-tree NN backends."""
+brute force) and the nearest-facility search against scipy's kd-tree."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.data.city import nyc_like
+from repro.data.sampling import sample_clients_facilities
+
 from repro.index.enclosure import BruteForceEnclosure, SegmentTreeEnclosureIndex
-from repro.index.kdtree import KDTree
 from repro.index.rtree import RTree
 
 N_RECTS = 2000
@@ -42,20 +46,52 @@ def test_enclosure_query_throughput(benchmark, cls):
     benchmark.extra_info["hits"] = total
 
 
-@pytest.mark.parametrize("backend", ("python", "scipy"))
-def test_nn_circle_backend(benchmark, backend):
+def _cluster_with_outliers(rng, n):
+    """98% of the points within about 1e-3 of one spot, 2% spread over a
+    1000-wide square: the skew a uniform grid handles worst."""
+    pts = rng.normal(0.5, 1e-3, (n, 2))
+    far = rng.random(n) < 0.02
+    pts[far] = rng.random((far.sum(), 2)) * 1000
+    return pts
+
+
+def _nn_input(name):
+    rng = np.random.default_rng(2)
+    if name == "600x120":
+        return rng.random((600, 2)), rng.random((120, 2))
+    if name == "uniform-100kx10k":
+        return rng.random((100_000, 2)), rng.random((10_000, 2))
+    if name == "nyc-20kx6k":
+        return sample_clients_facilities(nyc_like(30_000, seed=0), 20_000, 6_000, seed=1)
+    return _cluster_with_outliers(rng, 50_000), _cluster_with_outliers(rng, 5_000)
+
+
+@pytest.mark.parametrize(
+    "name", ("600x120", "uniform-100kx10k", "nyc-20kx6k", "cluster-50kx5k")
+)
+@pytest.mark.parametrize("backend", ("auto", "ckdtree"))
+def test_nn_circle_backend(benchmark, backend, name):
+    """The numpy grid search against scipy's cKDTree (when installed),
+    L2 nearest-facility distances; the grid's tracemalloc peak rides along."""
     from repro.nn.nncircles import nn_distances
 
-    rng = np.random.default_rng(2)
-    clients = rng.random((4000, 2))
-    facilities = rng.random((500, 2))
-    benchmark.group = "nn backends"
+    clients, facilities = _nn_input(name)
+    benchmark.group = f"nn backends {name}"
+    if backend == "ckdtree":
+        spatial = pytest.importorskip("scipy.spatial")
 
-    def run():
-        return nn_distances(clients, facilities, "l2", backend=backend)
+        def run():
+            return spatial.cKDTree(facilities).query(clients, k=1)[0]
+    else:
+        def run():
+            return nn_distances(clients, facilities, "l2")
 
-    d = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert len(d) == 4000
+        tracemalloc.start()
+        run()
+        benchmark.extra_info["peak_mib"] = tracemalloc.get_traced_memory()[1] / 2**20
+        tracemalloc.stop()
+    d = benchmark.pedantic(run, rounds=5, iterations=1)
+    assert len(d) == len(clients)
 
 
 def test_enclosure_build_cost(benchmark):

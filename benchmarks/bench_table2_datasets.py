@@ -30,7 +30,7 @@ def test_nn_circle_precomputation(benchmark, metric):
     benchmark.group = f"table2 nn-circles {metric}"
 
     def run():
-        return compute_nn_circles(clients, facilities, metric, backend="scipy")
+        return compute_nn_circles(clients, facilities, metric)
 
     circles = benchmark.pedantic(run, rounds=1, iterations=1)
     assert len(circles) > 19_000

@@ -125,7 +125,7 @@ class RNNHeatMap:
         metric: 'l1', 'l2' or 'linf'.
         measure: influence measure (default: RNN-set size).
         monochromatic: O == F with self-exclusion (Section VII-A).
-        nn_backend: NN-circle backend ('auto' | 'python' | 'scipy' | 'brute').
+        nn_backend: NN-circle backend ('auto', the grid search, or 'brute').
         k: reverse k-nearest-neighbor order (k=1 is the paper's RNN heat
             map; k>1 makes circle radii the k-th-NN distances, giving the
             R-k-NN heat map with the identical region-coloring reduction).

@@ -34,6 +34,7 @@ from ..geometry.circle import NNCircleSet
 from ..geometry.rect import Rect
 from ..geometry.transforms import IDENTITY
 from ..influence.measures import SizeMeasure
+from ..nn.nncircles import _ranges
 from .regionset import _BoxGrid
 
 __all__ = ["NNCircleSurface"]
@@ -72,13 +73,6 @@ def _half_chord(x, cx, r2) -> np.ndarray:
     np.minimum(h, r2, out=h)
     np.subtract(r2, h, out=h)
     return np.sqrt(h, out=h)
-
-
-def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """``starts[k], starts[k] + 1, ...`` for ``sizes[k]`` values each, all
-    concatenated."""
-    offsets = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    return np.repeat(starts, sizes) + offsets
 
 
 class NNCircleSurface:

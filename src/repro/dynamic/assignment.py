@@ -69,8 +69,7 @@ class DynamicAssignment:
         #: a miss would be a correctness bug, so every mutation records
         #: every client it may touch.
         self._touched: "set[int]" = set()
-        for c in self._clients:
-            self._assign(c)
+        self._assign_many(list(self._clients))
 
     # ------------------------------------------------------------------
     # Internals
@@ -90,18 +89,18 @@ class DynamicAssignment:
         self.stat_nn_queries += 1
 
     def _assign_many(self, clients: "list[int]") -> None:
-        """Batch NN re-query — one vectorized pass for all given clients.
+        """Batch NN query — one ``nn_assign`` search for all given clients.
 
         Assigns exactly what per-client :meth:`_assign` calls would (same
-        distance arithmetic, same lowest-index tie-break via ``np.argmin``),
-        in one ``nn_assign`` call instead of a Python loop; facility
-        removals and moves re-query all their orphans through here.
+        distance arithmetic, same lowest-index tie-break as ``np.argmin``)
+        without a Python loop: the first assignment of every client, and
+        the orphans of a facility removal or move, go through here.
         """
         if not clients:
             return
         handles, pts = self._facility_arrays()
         q = np.array([self._clients[c] for c in clients], dtype=float)
-        best, dist = nn_assign(q, pts, self.metric, backend="brute")
+        best, dist = nn_assign(q, pts, self.metric)
         for c, b, d in zip(clients, best, dist):
             self._assignment[c] = (handles[int(b)], float(d))
         self.stat_nn_queries += len(clients)

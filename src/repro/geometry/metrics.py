@@ -25,7 +25,7 @@ class Metric:
 
     Attributes:
         name: canonical lowercase name ('l1', 'l2', 'linf').
-        p: the Minkowski exponent (1, 2 or math.inf), for kd-tree backends.
+        p: the Minkowski exponent (1, 2 or math.inf), for kd-tree indexes.
         circle_shape: shape of the NN-circle this metric induces.
         distance: scalar distance between two (x, y) pairs.
         pairwise_to_point: vectorized distances from an (n, 2) array to a

@@ -25,6 +25,7 @@ import numpy as np
 
 from ..errors import InvalidInputError
 from ..geometry.metrics import Metric, get_metric
+from ..nn.nncircles import nn_assign
 
 __all__ = [
     "CapacityConstrainedMeasure",
@@ -202,9 +203,7 @@ class CapacityConstrainedMeasure(InfluenceMeasure):
         if (capacities < 0).any() or new_capacity < 0:
             raise InvalidInputError("capacities must be non-negative")
 
-        from scipy.spatial import cKDTree
-
-        _d, assignment = cKDTree(facilities).query(clients, k=1, p=metric.p)
+        assignment, _d = nn_assign(clients, facilities, metric)
         self._assignment = {i: int(f) for i, f in enumerate(assignment)}
         self._base_counts = np.bincount(assignment, minlength=n_f).astype(np.int64)
         self._capacities = capacities

@@ -33,6 +33,21 @@ class TestDynamicAssignment:
         a = DynamicAssignment(O, F, "l2")
         check_against_scratch(a)
 
+    @pytest.mark.parametrize("metric", ["l1", "l2", "linf"])
+    def test_batched_first_assignment_matches_per_client(self, metric, rng):
+        # Facilities on the even points of a lattice; the first clients sit
+        # midway between two of them, so their nearest is a tie.
+        xs, ys = np.meshgrid(np.arange(0, 40, 2.0), np.arange(0, 40, 2.0))
+        F = np.column_stack((xs.ravel(), ys.ravel()))
+        F = F[rng.permutation(len(F))]
+        O = np.concatenate((F[:300] + [1.0, 0.0], F[:300] + [0.0, 1.0],
+                            rng.random((2000, 2)) * 40))
+        a = DynamicAssignment(O, F, metric)
+        batched = dict(a._assignment)
+        for c in a.client_handles():
+            a._assign(c)  # the one-client query
+        assert a._assignment == batched
+
     def test_client_churn(self, rng):
         O, F = rng.random((30, 2)), rng.random((6, 2))
         a = DynamicAssignment(O, F, "l2")

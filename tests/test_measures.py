@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.errors import InvalidInputError
+from repro.geometry.metrics import get_metric
 from repro.influence.measures import (
     CapacityConstrainedMeasure,
     ConnectivityMeasure,
@@ -62,11 +63,10 @@ class TestConnectivityMeasure:
             ConnectivityMeasure([(1, 1)])
 
 
-def brute_capacity_total(clients, facilities, capacities, new_cap, rnn_set, metric_p=2):
+def brute_capacity_total(clients, facilities, capacities, new_cap, rnn_set, metric="l2"):
     """Direct recomputation of the [22] objective for a candidate location."""
-    from scipy.spatial import cKDTree
-
-    _d, assign = cKDTree(facilities).query(clients, k=1, p=metric_p)
+    dist = get_metric(metric).pairwise_to_point(facilities[None], clients[:, None])
+    assign = np.argmin(dist, axis=1)
     total = min(new_cap, len(rnn_set))
     for f in range(len(facilities)):
         served = sum(
