@@ -287,11 +287,6 @@ def _cmd_query(args) -> int:
     )
     print(f"top-{args.top_k} heats: "
           + ", ".join(f"{h:g}" for h in service.top_k_heats(handle, args.top_k)))
-    # Top-k reads the arrangement, so its sweep counters are known now
-    # (size-measure maps sweep on that first fragment-level request).
-    stats = service.result(handle).stats
-    print(f"arrangement: algorithm={stats.algorithm} "
-          f"({stats.n_fragments} fragments, {service.stats.sweeps} on-demand sweeps)")
 
     if args.tile_zoom > 8:
         print(f"--tile-zoom {args.tile_zoom} would render "

@@ -213,7 +213,7 @@ class RNNHeatMap:
     def surface(self, algorithm: str = "crest") -> HeatMapResult:
         """The size-measure map served from its NN-circles, unswept.
 
-        Heat, RNN sets and rasters come straight from the circles
+        Heat, RNN sets, rasters and top-k come straight from the circles
         (:class:`~repro.core.surface.NNCircleSurface`); the ``algorithm``
         sweep runs only when fragments or sweep counters are first asked
         for, and then answers exactly as :meth:`build` would have.  The

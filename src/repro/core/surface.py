@@ -13,13 +13,14 @@ The circles stay in the sweep's internal frame (L1 maps rotated by pi/4,
 so their circles are axis-aligned squares) and an L2 point is tested
 against the very arc formula the sweep's fragments are bounded by, so
 the surface answers what the swept
-:class:`~repro.core.regionset.RegionSet` answers.  The maximum heat is
-exact and found without a sweep (:attr:`NNCircleSurface.max_heat`).
+:class:`~repro.core.regionset.RegionSet` answers.  The k largest region
+heats, the maximum among them, are exact and found without a sweep
+(:meth:`NNCircleSurface.top_k_heats`).
 
-Fragment-level products — top-k regions, thresholded views, the
-fragments themselves — still need the arrangement:
-:meth:`NNCircleSurface.arrangement` runs the engine's sweep over the same
-circles once, on first use, and those calls delegate to its result.
+Fragment-level products — thresholded views, the fragments themselves —
+still need the arrangement: :meth:`NNCircleSurface.arrangement` runs the
+engine's sweep over the same circles once, on first use, and those calls
+delegate to its result.
 """
 
 from __future__ import annotations
@@ -53,15 +54,21 @@ _ENTRIES_PER_CIRCLE = 256
 #: batch size, as ``regionset._LOCATE_BLOCK`` does for the fragment table.
 _BLOCK = 16384
 
-#: Candidate circle pairs per group of the disk maximum search, and
+#: Candidate circle pairs per group of the disk heat search, and
 #: (x-step, y-interval) cells per block of the square one.
 _PAIR_BLOCK = 1 << 18
 _CELLS = 1 << 20
 
 #: Candidate boundary points closer than this (relative to their circle's
 #: radius) to another circle's boundary sit where rounding decides which
-#: side they are on, and cannot certify a maximum.
+#: side they are on, and cannot certify a heat.
 _TIE = 1e-9
+
+
+def _distinct(v: np.ndarray) -> np.ndarray:
+    """The distinct values of sorted ``v`` (``np.unique`` would load
+    ``numpy.ma`` into a server's first request)."""
+    return v[np.r_[True, v[1:] != v[:-1]]] if len(v) else v
 
 
 def _half_chord(x, cx, r2) -> np.ndarray:
@@ -73,6 +80,40 @@ def _half_chord(x, cx, r2) -> np.ndarray:
     np.minimum(h, r2, out=h)
     np.subtract(r2, h, out=h)
     return np.sqrt(h, out=h)
+
+
+class _Heats:
+    """A search's distinct heats, each with a point reading it, and its
+    floor: the k-th largest heat found (-1 until k are)."""
+
+    def __init__(self, k: int) -> None:
+        self.k = k
+        self.points: "dict[int, tuple[float, float]]" = {}
+        self.floor = -1
+
+    def fresh(self, heats: np.ndarray) -> np.ndarray:
+        """Indices of one entry per value of ``heats`` not found yet that
+        ranks among the k largest of the heats found and these."""
+        top = int(heats.max()) if len(heats) else -1
+        if top <= self.floor:
+            return np.zeros(0, np.int64)
+        # Nothing at or below a cut k heats lie above can rank: try the
+        # cut k below the top before the floor.
+        for cut in (max(self.floor, top - self.k), self.floor):
+            above = np.flatnonzero(heats > cut)
+            at = np.full(top + 1, -1, np.int64)
+            at[heats[above]] = above  # one of a repeated value's entries wins
+            values = np.flatnonzero(at >= 0).tolist()
+            ranked = {v for v in self.points if v > cut}.union(values)
+            if cut == self.floor or len(ranked) >= self.k:
+                break
+        return at[[v for v in values if v not in self.points]]
+
+    def add(self, heats, px, py) -> None:
+        """Record fresh heats, each read at ``(px, py)``, and raise the floor."""
+        self.points.update(zip(heats.tolist(), zip(px.tolist(), py.tolist())))
+        if len(self.points) >= self.k:
+            self.floor = sorted(self.points, reverse=True)[self.k - 1]
 
 
 class NNCircleSurface:
@@ -91,17 +132,10 @@ class NNCircleSurface:
             None for circles that get no arrangement: the approximate
             engines', whose heavily overlapping circles would take
             minutes to hours and gigabytes of fragments to sweep.  Then
-            ``top_k_heats`` answers from the maximum and ``threshold``
-            and ``fragments`` are unsupported.
+            ``threshold`` and ``fragments`` are unsupported.
         meta: engine-specific arrays kept with the surface and its payload
             (the approximate engines' ``knn_indices``,
             ``facility_rnn_counts`` and ``slice_point``).
-
-    One attribute belongs to whoever serves the surface: ``sweeper``,
-    which when set replaces the default sweep — it is called with the
-    surface and a ``should_cancel`` poll (or None) and returns the
-    ``HeatMapResult`` to delegate to.  ``HeatMapService`` sets it to count
-    sweeps and arm its fault points.
     """
 
     #: Serialization tag (see ``repro.core.serialize``).
@@ -127,11 +161,12 @@ class NNCircleSurface:
             raise InvalidInputError(
                 f"circle surfaces run under l2/linf, not {self.metric_name!r}"
             )
-        self.sweeper = None
         self._sweep_lock = threading.Lock()
         self._swept = None
-        self._peak_lock = threading.Lock()
-        self._peak = None
+        #: The longest top list searched so far, and the k it was searched
+        #: for: shorter than that k, it holds every heat of the map.
+        self._top_lock = threading.Lock()
+        self._top_list = ([], 0)
         cx, cy, r = circles.cx, circles.cy, circles.radius
         self._box = (cx - r, cx + r, cy - r, cy + r)
         if self.metric_name == "l2":
@@ -338,7 +373,7 @@ class NNCircleSurface:
             np.cumsum(pairs), np.arange(_BLOCK, pairs.sum(), _BLOCK), "right"
         )
         lo = 0
-        for hi in [*np.unique(cuts).tolist(), len(ids)]:
+        for hi in [*_distinct(cuts).tolist(), len(ids)]:
             k = np.repeat(np.arange(lo, hi), pairs[lo:hi])
             c = _ranges(c0[lo:hi], pairs[lo:hi])
             lo = hi
@@ -364,44 +399,64 @@ class NNCircleSurface:
         size = grid.starts[cells + col[-1]] + grid.counts[cells + col[-1]] - start
         if size.sum() >= len(self):
             return np.arange(len(self))
-        return np.unique(grid.entries[_ranges(start, size)])
+        listed = np.zeros(len(self), bool)
+        listed[grid.entries[_ranges(start, size)]] = True
+        return np.flatnonzero(listed)
 
     # ------------------------------------------------------------------
-    # The maximum, without a sweep
+    # The top heats, without a sweep
     # ------------------------------------------------------------------
     @property
     def max_heat(self) -> float:
         """The exact maximum heat (``-inf`` without circles)."""
-        return self.peak()[0]
+        top = self._search(1)
+        return float(top[0][0]) if top else -math.inf
 
     def peak(self) -> "tuple[float, tuple[float, float] | None, frozenset]":
-        """``(max_heat, point, rnn)``: the maximum heat, an internal-frame
-        point reading it, and that point's RNN set.  Computed once, in
-        bounded memory.
+        """``(max_heat, point, rnn)``: the maximum heat, the internal-frame
+        point its search certified, and that point's RNN set."""
+        top = self._search(1)
+        if not top:
+            return -math.inf, None, frozenset()
+        heat, (px, py) = top[0]
+        return float(heat), (px, py), self._members(np.array([px]), np.array([py]))[0]
 
-        Squares are swept in x over the elementary y-intervals between
-        their edges: time grows with the square of the circle count,
-        however much they overlap.  For disks, the hottest region lies
-        inside some circle along an arc of its boundary (were it outside
-        every circle bounding it, crossing in would raise the heat), so
-        each circle's boundary is scanned for the arcs inside the most
-        other circles, over the pairs whose boxes overlap; a point just
-        inside an arc's midpoint, nearer to it than to any other
-        boundary, confirms the count — so arcs that rounding fabricates
-        where many circles meet (every facility lies on all its RNN
-        circles) never count.  The best heat at a circle centre (a lower
-        bound: a point's strict count is the heat of a region around it)
-        is the bar an arc must beat to be scanned or confirmed at all.
+    def top_k_heats(self, k: int) -> "list[float]":
+        """The k largest distinct heats of the map's regions, largest first
+        (all of them when there are fewer).
+
+        The region outside every circle, heat 0, is the last entry; a map
+        without circles gives ``[]``.  No sweep runs, and a list no longer
+        than the longest one searched costs no new search.
         """
-        with self._peak_lock:
-            if self._peak is None:
-                if self._grid is None:
-                    self._peak = (-math.inf, None, frozenset())
-                elif self.metric_name == "l2":
-                    self._peak = self._disk_peak()
-                else:
-                    self._peak = self._square_peak()
-            return self._peak
+        if int(k) <= 0:
+            raise InvalidInputError("k must be positive")
+        return [float(h) for h, _point in self._search(int(k))]
+
+    def _search(self, k: int) -> "list[tuple[int, tuple[float, float]]]":
+        """``(heat, internal-frame point reading it)`` for the k largest
+        distinct region heats, largest first; concurrent callers wait for
+        one search.  Squares: an x-sweep over the elementary y-intervals,
+        whose cells each lie in one region, in O(n^2) time.  Disks: every
+        bounded region borders an arc, and points beside each arc read its
+        regions' heats (:meth:`_probe_arcs`).  The k-th heat found is a
+        floor below which circles and arcs are skipped; circle centres no
+        boundary passes near raise it early."""
+        with self._top_lock:
+            top, searched = self._top_list
+            if len(top) < k and len(top) == searched:
+                found = _Heats(k)
+                if self._grid is not None:
+                    # Past every circle's box: the region outside them all.
+                    b = self._bounds
+                    found.add(np.zeros(1, int), np.r_[2 * b.x_hi - b.x_lo], np.r_[b.y_lo])
+                    if self.metric_name == "l2":
+                        self._disk_heats(found)
+                    else:
+                        self._square_heats(found)
+                top = sorted(found.points.items(), reverse=True)[:k]
+                self._top_list = (top, k)
+            return top[:k]
 
     def _pair_groups(self, floor: int):
         """Yield ``(owners, a, b)``: a group of circles and, as index
@@ -432,7 +487,7 @@ class NNCircleSurface:
             total, np.arange(_PAIR_BLOCK, int(total[-1]), _PAIR_BLOCK), side="right"
         )
         lo = 0
-        for hi in [*np.unique(cuts).tolist(), n]:
+        for hi in [*_distinct(cuts).tolist(), n]:
             if not live[lo:hi].any():
                 lo = hi
                 continue
@@ -449,15 +504,19 @@ class NNCircleSurface:
             yield order[lo:hi][live[lo:hi]], i[keep], j[keep]
             lo = hi
 
-    def _square_peak(self):
+    def _square_heats(self, found: "_Heats") -> None:
         x_lo, x_hi, y_lo, y_hi = self._box
         n = len(x_lo)
         # Sweep x over the elementary y-intervals: a square adds 1 to the
         # intervals [y_lo, y_hi) from its low x edge up to its high x edge.
-        # Half-open counts reach every open region's heat, so the most
-        # covered (x-step, y-interval) cell is the hottest region.
-        xs = np.unique(np.concatenate((x_lo, x_hi)))
-        ys = np.unique(np.concatenate((y_lo, y_hi)))
+        # A cell's count is the heat of the region its interior lies in,
+        # which holds the cell's midpoint — unless rounding split edges
+        # that coincide (the last x-step and y-interval have no midpoint).
+        xs = _distinct(np.sort(np.concatenate((x_lo, x_hi))))
+        ys = _distinct(np.sort(np.concatenate((y_lo, y_hi))))
+        tie = _TIE * max(xs[-1] - xs[0], ys[-1] - ys[0])
+        thin_x = np.r_[np.diff(xs) <= tie, True]
+        thin_y = np.r_[np.diff(ys) <= tie, True]
         width = len(ys)
         row = np.searchsorted(xs, np.concatenate((x_lo, x_hi)))
         lo = np.searchsorted(ys, np.concatenate((y_lo, y_lo)))
@@ -470,7 +529,6 @@ class NNCircleSurface:
         up.sort()
         down.sort()
         cover = np.zeros(width, np.int64)
-        best, cell = -1, None
         rows = max(1, _CELLS // width)
         for r0 in range(0, len(xs), rows):
             r1 = min(r0 + rows, len(xs))
@@ -483,48 +541,61 @@ class NNCircleSurface:
             np.cumsum(block, axis=1, out=block)
             np.cumsum(block, axis=0, out=block)
             block += cover
-            k = int(np.argmax(block))
-            if block.flat[k] > best:
-                best, cell = int(block.flat[k]), (r0 + k // width, k % width)
             cover = block[-1].copy()
-        # A point inside that cell: the midpoints of its x-step and y-interval.
-        r, t = cell
-        px = (xs[r] + xs[r + 1]) / 2.0
-        py = (ys[t] + ys[t + 1]) / 2.0
-        return self._certified(best, px, py)
+            block[thin_x[r0:r1]] = -1
+            block[:, thin_y] = -1
+            flat = block.ravel()
+            i = found.fresh(flat)
+            r, t = r0 + i // width, i % width
+            found.add(flat[i], (xs[r] + xs[r + 1]) / 2.0, (ys[t] + ys[t + 1]) / 2.0)
 
-    def _disk_peak(self):
+    def _disk_heats(self, found: "_Heats") -> None:
         cx, cy, r = self.circles.cx, self.circles.cy, self.circles.radius
-        heats = self._count(cx, cy)
-        k = int(np.argmax(heats))
-        best, point = int(heats[k]), (float(cx[k]), float(cy[k]))
-        for owner, depth, mid in self._arcs(best):
-            # Confirm arcs, deepest first, until no unconfirmed arc can win.
-            hot = np.flatnonzero(depth > best)
+        ok = self._boundary_gap(cx, cy, np.arange(len(r))) > _TIE * r
+        heats = self._count(cx[ok], cy[ok])
+        i = found.fresh(heats)
+        found.add(heats[i], cx[ok][i], cy[ok][i])
+        for owner, depth, start, width in self._arcs(found.floor):
+            # Probe arcs, deepest first, until no arc left can beat the floor.
+            hot = np.flatnonzero(depth > found.floor)
             hot = hot[np.argsort(-depth[hot], kind="stable")]
             for lo in range(0, len(hot), _BLOCK):
                 blk = hot[lo:lo + _BLOCK]
-                if depth[blk[0]] <= best:
+                if depth[blk[0]] <= found.floor:
                     break
-                o, t = owner[blk], mid[blk]
-                ux, uy = np.cos(t), np.sin(t)
-                bx, by = cx[o] + r[o] * ux, cy[o] + r[o] * uy
-                gap = self._boundary_gap(bx, by, o)
-                ok = gap > _TIE * r[o]
-                step = gap[ok] / 2.0
-                qx, qy = bx[ok] - step * ux[ok], by[ok] - step * uy[ok]
-                heats = self._count(qx, qy)
-                if len(heats) and heats.max() > best:
-                    k = int(np.argmax(heats))
-                    best, point = int(heats[k]), (float(qx[k]), float(qy[k]))
-        return self._certified(best, *point)
+                self._probe_arcs(found, owner[blk], depth[blk], start[blk], width[blk])
+
+    def _probe_arcs(self, found: "_Heats", owner, depth, start, width) -> None:
+        """Count just inside and outside each arc (outside only where that
+        can beat the floor), half its gap to the nearest other boundary
+        away, at its midpoint or, if another boundary passes too near
+        (a tangent circle, a facility on its RNN circles), a quarter point.
+        Between crossings the circles containing those points stay the
+        same, so the arc's regions read the same anywhere along it."""
+        cx, cy, r = self.circles.cx, self.circles.cy, self.circles.radius
+        for frac in (0.5, 0.25, 0.75):
+            t = start + frac * width
+            ux, uy = np.cos(t), np.sin(t)
+            bx, by = cx[owner] + r[owner] * ux, cy[owner] + r[owner] * uy
+            gap = self._boundary_gap(bx, by, owner)
+            ok = gap > _TIE * r[owner]
+            out = ok & (depth > found.floor + 1)
+            sx, sy = gap * ux / 2.0, gap * uy / 2.0
+            qx = np.concatenate((bx[ok] - sx[ok], bx[out] + sx[out]))
+            qy = np.concatenate((by[ok] - sy[ok], by[out] + sy[out]))
+            heats = self._count(qx, qy)
+            i = found.fresh(heats)
+            found.add(heats[i], qx[i], qy[i])
+            if ok.all():
+                return
+            owner, depth, start, width = (v[~ok] for v in (owner, depth, start, width))
 
     def _arcs(self, floor: int):
-        """Yield ``(owner, depth, mid)`` per group of :meth:`_pair_groups`:
-        the arcs the other boundaries cut each owner circle's boundary
-        into, how many circles contain each arc (its owner included) and
-        the angle of its midpoint.  A circle no other boundary crosses is
-        one arc, with mid-angle 0."""
+        """Yield ``(owner, depth, start, width)`` per group of
+        :meth:`_pair_groups`: the arcs the other boundaries cut each owner
+        circle's boundary into, how many circles contain each arc (its
+        owner included), and the angle each starts at and spans.  A
+        circle no other boundary crosses is one arc, all the way round."""
         cx, cy, r = self.circles.cx, self.circles.cy, self.circles.radius
         base = np.zeros(len(r), dtype=np.int64)
         for group, a, b in self._pair_groups(floor):
@@ -559,11 +630,14 @@ class NNCircleSurface:
             nxt = np.r_[theta[1:], 0.0][: len(owner)]
             nxt[head + runs - 1] = theta[head] + 2.0 * np.pi
             keep = nxt > theta
-            lone = np.setdiff1d(group, owner)
+            crossed = np.zeros(len(r), bool)
+            crossed[owner] = True
+            lone = group[~crossed[group]]
             yield (
                 np.concatenate((owner[keep], lone)),
                 np.concatenate((depth[keep], base[lone])) + 1,
-                np.concatenate(((theta[keep] + nxt[keep]) / 2.0, np.zeros(len(lone)))),
+                np.concatenate((theta[keep], np.zeros(len(lone)))),
+                np.concatenate((nxt[keep] - theta[keep], np.full(len(lone), 2.0 * np.pi))),
             )
 
     def _boundary_gap(self, px, py, owner) -> np.ndarray:
@@ -581,11 +655,6 @@ class NNCircleSurface:
             dist = np.abs(np.hypot(px[pt] - cx[ci], py[pt] - cy[ci]) - r[ci])
             gap[pt] = np.minimum(gap[pt], dist)
         return gap
-
-    def _certified(self, heat: int, px: float, py: float):
-        """The peak tuple at an internal-frame point known to read ``heat``."""
-        rnn = self._members(np.array([px]), np.array([py]))[0]
-        return float(heat), (float(px), float(py)), rnn
 
     # ------------------------------------------------------------------
     # The arrangement, on demand
@@ -616,10 +685,7 @@ class NNCircleSurface:
             )
         with self._sweep_lock:
             if self._swept is None:
-                if self.sweeper is not None:
-                    self._swept = self.sweeper(self, should_cancel)
-                else:
-                    self._swept = self.sweep(should_cancel=should_cancel)
+                self._swept = self.sweep(should_cancel=should_cancel)
             return self._swept
 
     @property
@@ -631,24 +697,6 @@ class NNCircleSurface:
     def fragments(self) -> list:
         """The arrangement's fragments (sweeps on first use)."""
         return self.arrangement().region_set.fragments
-
-    def top_k_heats(self, k: int) -> "list[float]":
-        """The k largest distinct heat values (sweeps on first use).
-
-        Without an engine they are ``max_heat``, ``max_heat - 1``, ...
-        down to 1: a path from the hottest region out of every circle
-        crosses one boundary at a time, so each of these is the heat of
-        some region — unless circles coincide (duplicate clients), whose
-        boundaries are crossed together.
-        """
-        if self.engine is not None:
-            return self.arrangement().region_set.top_k_heats(k)
-        if int(k) <= 0:
-            raise InvalidInputError("k must be positive")
-        top = self.max_heat
-        if not math.isfinite(top):
-            return []
-        return [float(v) for v in range(int(top), max(int(top) - int(k), 0), -1)]
 
     def threshold(self, min_heat: float):
         """The arrangement's fragments with heat >= ``min_heat`` (a

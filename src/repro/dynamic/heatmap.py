@@ -15,8 +15,8 @@ Under the size measure that map is an
 :class:`~repro.core.surface.NNCircleSurface`, the same object a static
 size-measure build serves: heat, RNN sets and tiles count the circles
 containing each point, so a rebuild indexes the circles and sweeps
-nothing.  The engine's sweep runs only when a fragment-level request
-(top-k, threshold, fragments, sweep counters) asks for it.  Other
+nothing, and neither does top-k.  The engine's sweep runs only when a
+library call asks for fragments, a threshold view or sweep counters.  Other
 measures sweep the current circles with the default engine on every
 rebuild.
 """

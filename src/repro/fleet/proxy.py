@@ -598,9 +598,7 @@ class FleetProxy(BaseHTTPApp):
         ``fleet`` sums the numeric service counters across reachable
         replicas — ``builds`` is the number of *actual builds* performed
         fleet-wide, which under a shared store stays at one per distinct
-        fingerprint no matter how many replicas built it; ``sweeps``
-        counts the on-demand arrangement sweeps, which each replica runs
-        for itself on its first fragment-level request of a handle.
+        fingerprint no matter how many replicas built it.
         """
         probe = Request(method="GET", path="/stats")
         results = await self._fan_out(probe)

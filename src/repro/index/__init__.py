@@ -1,12 +1,10 @@
-"""Index substrates: kd-tree (NN), sweep status structures, interval tree,
+"""Index substrates: sweep status structures, interval tree,
 point-enclosure indexes, STR R-tree and uniform grid."""
 
 from .bplustree import BPlusTree
 from .enclosure import BruteForceEnclosure, SegmentTreeEnclosureIndex
 from .grid import UniformGridIndex
 from .interval_tree import IntervalTree
-from .kdtree import KDTree
-from .quadtree import QuadTree
 from .rtree import RTree
 from .skiplist import SkipList
 from .sortedlist import SortedKeyList, StatusStructure
@@ -15,8 +13,6 @@ __all__ = [
     "BPlusTree",
     "BruteForceEnclosure",
     "IntervalTree",
-    "KDTree",
-    "QuadTree",
     "RTree",
     "SegmentTreeEnclosureIndex",
     "SkipList",

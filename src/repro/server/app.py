@@ -726,18 +726,24 @@ class HeatMapHTTPApp(BaseHTTPApp):
             raise HTTPError(400, f'"{name}" must be a JSON boolean')
         return value
 
+    @staticmethod
+    def _k_field(payload: dict, default: int) -> int:
+        """A strict JSON integer >= 1: "3", 2.9 and true must 400, not
+        pass as 3, 2 and 1."""
+        k = payload.get("k", default)
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise HTTPError(400, '"k" must be a JSON integer')
+        if k < 1:
+            raise HTTPError(400, '"k" must be >= 1')
+        return k
+
     @classmethod
     def _build_params(cls, payload: dict) -> dict:
         """Validate the build-configuration fields shared by both paths."""
         metric = str(payload.get("metric", "l2")).lower()
         if metric not in _METRICS:
             raise HTTPError(400, f"metric must be one of {_METRICS}")
-        try:
-            k = int(payload.get("k", 1))
-        except (TypeError, ValueError):
-            raise HTTPError(400, '"k" must be an integer') from None
-        if k < 1:
-            raise HTTPError(400, '"k" must be >= 1')
+        k = cls._k_field(payload, 1)
         # Engine knobs ride in explicitly; which engines accept them is the
         # registry's call (unknown knobs 400 via normalized_options).
         engine_options: dict = {}
@@ -917,12 +923,7 @@ class HeatMapHTTPApp(BaseHTTPApp):
             raise HTTPError(400, "query body must be a JSON object")
         kind = payload.get("kind", "heat")
         if kind == "top-k":
-            try:
-                k = int(payload.get("k", 5))
-            except (TypeError, ValueError):
-                raise HTTPError(400, '"k" must be an integer') from None
-            if k < 1:
-                raise HTTPError(400, '"k" must be >= 1')
+            k = self._k_field(payload, 5)
             heats = await self.service.top_k_heats(handle, k)
             return json_response({"handle": handle, "kind": kind, "heats": heats})
         points = decode_points(payload, max_points=self.max_points)

@@ -189,8 +189,8 @@ SPEC = {
                     "Static builds are keyed by input fingerprint and "
                     "answered 202 + poll URL while building, 200/ready once "
                     "resident (a size-measure build is the NN radii plus a "
-                    "circle index; its arrangement is swept on the first "
-                    "top-k query). Concurrent identical requests coalesce onto "
+                    "circle index, and no later request sweeps it). "
+                    "Concurrent identical requests coalesce onto "
                     "one build. dynamic=true attaches a DynamicHeatMap "
                     "(unique dyn-N handle) that accepts /update batches."
                 ),
@@ -267,6 +267,11 @@ SPEC = {
         "/query/{handle}": {
             "post": {
                 "summary": "Batch heat / RNN / top-k queries",
+                "description": (
+                    "kind=top-k lists the k largest distinct heats of the "
+                    "map's regions, largest first, ending with 0 (outside "
+                    "every circle); no query sweeps."
+                ),
                 "operationId": "query",
                 "parameters": [
                     {
@@ -462,7 +467,7 @@ SPEC = {
                 "description": (
                     "Served by a --fleet-proxy coordinator: per-replica "
                     "/stats snapshots, their numeric service counters "
-                    "summed (so fleet.builds is the number of actual sweeps "
+                    "summed (so fleet.builds is the number of actual builds "
                     "performed fleet-wide), the proxy's own routing "
                     "counters, and the consistent-hash ring layout. A "
                     "single-process server does not mount this path."
@@ -510,9 +515,7 @@ SPEC = {
                         "description": (
                             "HeatMapService.stats_snapshot(): builds, cache "
                             "hit/miss/eviction, coalesced_builds/"
-                            "coalesced_tiles, inflight_peak, sweeps "
-                            "(arrangement sweeps run on demand for handles "
-                            "served from their NN-circles), ..."
+                            "coalesced_tiles, inflight_peak, ..."
                         ),
                     },
                     "http": {
@@ -680,7 +683,7 @@ SPEC = {
                         "type": "object",
                         "description": (
                             "Numeric service counters summed across "
-                            "reachable replicas (builds = actual sweeps "
+                            "reachable replicas (builds = actual builds "
                             "fleet-wide)"
                         ),
                     },

@@ -125,10 +125,9 @@ class AsyncHeatMapService:
         self._inflight_tiles: "dict[tuple, _Flight]" = {}
         #: build fingerprint -> _Flight
         self._inflight_builds: "dict[str, _Flight]" = {}
-        #: handle -> _Flight of its on-demand arrangement sweep
-        self._inflight_sweeps: "dict[str, _Flight]" = {}
-        #: handle -> _Flight of its maximum-heat search
-        self._inflight_peaks: "dict[str, _Flight]" = {}
+        #: (handle, None) -> _Flight of its maximum heat, (handle, k) of
+        #: its top k
+        self._inflight_peaks: "dict[tuple, _Flight]" = {}
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -154,7 +153,7 @@ class AsyncHeatMapService:
     def _note_inflight(self) -> None:
         self.stats.record_inflight(
             len(self._inflight_tiles) + len(self._inflight_builds)
-            + len(self._inflight_sweeps) + len(self._inflight_peaks)
+            + len(self._inflight_peaks)
         )
 
     async def _single_flight(self, inflight: dict, key, handle: str, call,
@@ -313,12 +312,10 @@ class AsyncHeatMapService:
         the generation bump, so no waiter is ever served a result computed
         from the pre-invalidation world.  Call from the event-loop thread.
         """
-        doomed_tiles = [k for k in self._inflight_tiles if k[0] == handle]
-        for k in doomed_tiles:
-            del self._inflight_tiles[k]
+        for inflight in (self._inflight_tiles, self._inflight_peaks):
+            for key in [k for k in inflight if k[0] == handle]:
+                del inflight[key]
         self._inflight_builds.pop(handle, None)
-        self._inflight_sweeps.pop(handle, None)
-        self._inflight_peaks.pop(handle, None)
         self.service.invalidate(handle)
 
     # ------------------------------------------------------------------
@@ -342,19 +339,18 @@ class AsyncHeatMapService:
         return await self._run(self.service.rnn_at_many, handle, points)
 
     async def top_k_heats(self, handle: str, k: int) -> "list[float]":
-        """The k largest distinct heat values of the subdivision.
+        """The k largest distinct heat values of the map's regions.
 
-        A handle served from its NN-circle surface sweeps on its first
-        fragment-level request (:meth:`HeatMapService.prepare`), in a
-        flight keyed by handle: concurrent callers await that one sweep
-        without holding executor threads, and a leader whose caller goes
-        away (disconnect, deadline) with nobody waiting cancels it.
+        A circle surface searches for them on first use, in a flight keyed
+        by handle and k: concurrent callers await that one search without
+        holding executor threads.
         """
         def call(should_cancel=None):
-            self.service.prepare(handle, should_cancel)
+            return self.service.top_k_heats(handle, k)
 
-        await self._single_flight(self._inflight_sweeps, handle, handle, call, None)
-        return await self._run(self.service.top_k_heats, handle, k)
+        return await self._single_flight(
+            self._inflight_peaks, (handle, k), handle, call, None
+        )
 
     async def max_heat(self, handle: str) -> float:
         """The map's maximum heat, the default colour scale of its tiles.
@@ -366,7 +362,9 @@ class AsyncHeatMapService:
         def call(should_cancel=None):
             return self.service.max_heat(handle)
 
-        return await self._single_flight(self._inflight_peaks, handle, handle, call, None)
+        return await self._single_flight(
+            self._inflight_peaks, (handle, None), handle, call, None
+        )
 
     # ------------------------------------------------------------------
     # Tiles

@@ -3,8 +3,8 @@
 ``HeatMapService`` is the piece that turns the one-shot pipeline
 (``RNNHeatMap(...).build(...)``) into an interactive backend: builds are
 content-addressed and cached, point probes are answered in vectorized
-batches against the NN-circle surface (size-measure maps, swept only
-when a request needs fragments) or the flat fragment table, and raster
+batches against the NN-circle surface (size-measure maps, which no
+request sweeps) or the flat fragment table, and raster
 tiles are cached at tile granularity so pans and zooms only render what
 they have never seen.
 
@@ -50,7 +50,6 @@ import numpy as np
 from ..core.heatmap import HeatMapResult, RNNHeatMap
 from ..core.regionset import RegionSet
 from ..core.registry import REGISTRY
-from ..core.surface import NNCircleSurface
 from ..errors import AlgorithmUnsupportedError, BuildCancelledError, UnknownHandleError
 from ..influence.measures import SizeMeasure
 from .. import faults
@@ -171,10 +170,6 @@ class ServiceStats:
     coalesced_builds: int = 0
     coalesced_tiles: int = 0
     inflight_peak: int = 0
-    #: Arrangement sweeps started on demand for handles served from their
-    #: NN-circle surface (top-k, threshold, fragments, sweep counters); a
-    #: cancelled one counts, and so does the next request's retry.
-    sweeps: int = 0
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
@@ -319,11 +314,8 @@ class HeatMapService:
 
         Under the size measure an exact engine's build is the NN radii
         plus the :class:`~repro.core.surface.NNCircleSurface` over them:
-        heat, RNN and tile requests are answered from the circles, and
-        the engine's sweep runs once, on the first request that needs
-        fragments (``top_k_heats``, ``threshold``, the fragments or the
-        sweep counters; counted in ``stats.sweeps``).  Other measures
-        sweep here.
+        heat, RNN, top-k and tile requests are answered from the circles
+        and sweep nothing.  Other measures sweep here.
 
         Concurrent calls with the same fingerprint single-flight: one
         thread builds while the rest wait and then take the cache hit, so
@@ -371,7 +363,6 @@ class HeatMapService:
                         promoted = None
                     if promoted is not None:
                         self.stats.inc("promotions")
-                        self._bind(promoted)
                         self._admit(
                             handle,
                             _Entry(promoted, world_bounds(promoted.region_set)),
@@ -403,14 +394,12 @@ class HeatMapService:
                         monochromatic=monochromatic, k=k,
                     )
                     if isinstance(hm.measure, SizeMeasure):
-                        # Served from the NN-circles; the sweep waits for
-                        # the first request that needs fragments.
+                        # Served from the NN-circles, unswept.
                         if poll is not None and poll():
                             raise BuildCancelledError("build cancelled")
                         result = hm.surface(algorithm)
                     else:
                         result = hm.build(algorithm, should_cancel=poll)
-                self._bind(result)
                 self.stats.inc("builds")
                 if self.shared_store:
                     # Write through while the lease is held, so waiting
@@ -426,17 +415,6 @@ class HeatMapService:
                     handle, _Entry(result, world_bounds(result.region_set))
                 )
         return handle
-
-    def _bind(self, result: HeatMapResult) -> None:
-        """Route a circle surface's on-demand sweep through this service:
-        counted in ``sweeps``, fault points armed."""
-        surface = result.region_set
-        if isinstance(surface, NNCircleSurface):
-            surface.sweeper = self._sweep
-
-    def _sweep(self, surface: NNCircleSurface, should_cancel) -> HeatMapResult:
-        self.stats.inc("sweeps")
-        return surface.sweep(should_cancel=self._wrap_cancel(should_cancel))
 
     @staticmethod
     def _wrap_cancel(should_cancel):
@@ -464,13 +442,10 @@ class HeatMapService:
         cached tiles (and only this handle's) before the next query is
         answered — and only the tiles intersecting the update's dirty
         region when the map can bound it (no-op update batches invalidate
-        nothing at all).  Each result the map builds is bound like a
-        static build's: a circle surface's on-demand sweep is counted in
-        ``sweeps`` and fires the ``sweep-batch`` fault point.
+        nothing at all).
         """
         handle = name if name is not None else f"dynamic:{id(dynamic):x}"
         result = dynamic.result()
-        self._bind(result)
         entry = _Entry(
             result, world_bounds(result.region_set),
             dynamic=dynamic, version=dynamic.version,
@@ -525,7 +500,6 @@ class HeatMapService:
             # dirty map trigger exactly one rebuild.
             result = dyn.result()
             if dyn.version != entry.version:
-                self._bind(result)
                 old_world = entry.world
                 new_world = world_bounds(result.region_set)
                 rects = None
@@ -685,32 +659,14 @@ class HeatMapService:
         self.stats.inc("points_queried", len(out))
         return out
 
-    def prepare(self, handle: str, should_cancel=None) -> None:
-        """Do a handle's one-time work for fragment-level requests.
-
-        A handle served from its NN-circle surface sweeps its arrangement
-        here, once (counted in ``stats.sweeps``); the sweep polls
-        ``should_cancel`` once per event batch and, cancelled, leaves the
-        handle unswept.  A surface without an arrangement (approximate
-        engines) finds its maximum instead, which its top-k reads.  Other
-        handles were swept when built.  ``top_k_heats`` and ``threshold``
-        do this on their own when needed; the async front end calls it
-        first, to run it once per handle in a flight.
-        """
-        surface = self._entry(handle).result.region_set
-        if isinstance(surface, NNCircleSurface):
-            if surface.engine is None:
-                surface.peak()
-            else:
-                surface.arrangement(should_cancel)
-
     def max_heat(self, handle: str) -> float:
         """The map's maximum heat (``-inf`` when empty); never sweeps, but
         a circle surface finds it on the first call."""
         return self._entry(handle).result.max_heat
 
     def top_k_heats(self, handle: str, k: int) -> "list[float]":
-        """The k largest distinct heat values of the subdivision."""
+        """The k largest distinct heat values of the map's regions, largest
+        first; never sweeps, but a circle surface searches on first use."""
         return self._entry(handle).result.region_set.top_k_heats(k)
 
     def threshold(self, handle: str, min_heat: float) -> RegionSet:

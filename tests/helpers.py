@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.surface import NNCircleSurface
 from repro.nn.nncircles import compute_nn_circles
 from repro.nn.rnn import NaiveRNN
+from repro.render.raster import world_bounds
 
 
 def make_instance(seed: int, n_clients: int, n_facilities: int, metric: str):
@@ -80,3 +82,52 @@ def assert_same_answers(reference, candidates, probes, *, top_k: int = 10):
         assert candidate.region_set.top_k_heats(top_k) == ref_topk, (
             f"{name}: top_k_heats diverged"
         )
+
+
+def brute_heat(points, clients, facilities, metric: str = "l2", k: int = 1):
+    """Strictly-containing (k-)NN-circle count per point, and which points
+    lie within 1e-9 of some circle boundary (where rounding decides)."""
+    def dist(a, b):
+        d = np.abs(a - b)
+        if metric == "l2":
+            return np.sqrt((d * d).sum(axis=-1))
+        return d.sum(axis=-1) if metric == "l1" else d.max(axis=-1)
+
+    radii = np.sort(dist(clients[:, None, :], facilities[None, :, :]), axis=1)[:, k - 1]
+    counts, ties = [], []
+    for lo in range(0, len(points), 2048):
+        d = dist(np.asarray(points)[lo:lo + 2048, None, :], clients[None, :, :])
+        counts.append((d < radii).sum(axis=1))
+        ties.append((np.abs(d - radii) <= 1e-9).any(axis=1))
+    return np.concatenate(counts), np.concatenate(ties)
+
+
+def assert_top_k_exact(
+    result, clients, facilities, metric: str, *, side: int = 200, k: int = 1
+):
+    """A circle surface's top-k against brute force over its clients (an
+    RkNN map of order ``k``).
+
+    The full list (``k = 10**9``) descends to 0, each heat equals
+    ``NaiveRNN`` at the point its search certified, and it holds every
+    heat brute force reads at the off-boundary centres of a ``side`` x
+    ``side`` raster over the world.  A fresh surface's maximum and top 3,
+    searched with a floor, are that list's head.
+    """
+    surface = result.region_set
+    top = surface._search(10**9)
+    heats = [h for h, _point in top]
+    assert heats == sorted(set(heats), reverse=True) and heats[-1] == 0
+    witnesses = np.array([surface.transform.inverse(x, y) for _h, (x, y) in top])
+    oracle = NaiveRNN(clients, facilities, metric=metric, k=k).query_many(witnesses)
+    assert [len(s) for s in oracle] == heats
+    count, tie = brute_heat(
+        pixel_centres(world_bounds(surface), side), clients, facilities, metric, k
+    )
+    missing = set(count[~tie].tolist()) - set(heats)
+    assert not missing, f"region heats {sorted(missing)} not listed"
+    assert surface.top_k_heats(10**9) == [float(h) for h in heats]
+    fresh = NNCircleSurface(surface.circles, surface.transform, engine=surface.engine)
+    assert fresh.top_k_heats(1) == [fresh.max_heat] == [float(heats[0])]
+    fresh = NNCircleSurface(surface.circles, surface.transform, engine=surface.engine)
+    assert fresh.top_k_heats(3) == [float(h) for h in heats[:3]]

@@ -6,8 +6,9 @@ L-infinity) over the same instances and assert *identical*
 ``heat_at_many`` / ``rnn_at_many`` / ``top_k_heats`` answers
 (``helpers.assert_same_answers``).  Dynamic maps
 are held to brute force over their current points after every update
-(``helpers.assert_matches_brute_force``), and to the static builds at
-the end.
+(``helpers.assert_matches_brute_force``), their top-k to brute force
+(``helpers.assert_top_k_exact``), and their point answers to the static
+builds at the end.
 """
 
 from __future__ import annotations
@@ -16,7 +17,11 @@ import numpy as np
 import pytest
 
 from repro import DynamicHeatMap, RNNHeatMap
-from helpers import assert_matches_brute_force, assert_same_answers
+from helpers import (
+    assert_matches_brute_force,
+    assert_same_answers,
+    assert_top_k_exact,
+)
 
 
 def _instance(seed: int, metric: str):
@@ -50,8 +55,8 @@ def test_serial_vs_batched_engines(seed, metric):
 @pytest.mark.parametrize("seed,metric", CASES)
 def test_dynamic_path_vs_brute_force(seed, metric):
     """A randomized update workload: after every applied batch, the dynamic
-    map answers like brute force over the current points, and its last
-    top-k equals a fresh static build's."""
+    map answers like brute force over the current points, and so does its
+    last top-k."""
     clients, facilities, probes = _instance(seed, metric)
     dyn = DynamicHeatMap(clients, facilities, metric=metric)
     dyn.result()
@@ -70,8 +75,7 @@ def test_dynamic_path_vs_brute_force(seed, metric):
             dyn.move_facility(int(rng.choice(fh)), *rng.random(2))
         assert_matches_brute_force(dyn, dyn.result(), probes, f"step {step}")
     _handles, now_clients, now_facilities = dyn.points()
-    static = RNNHeatMap(now_clients, now_facilities, metric=metric).build("crest")
-    assert dyn.result().region_set.top_k_heats(10) == static.region_set.top_k_heats(10)
+    assert_top_k_exact(dyn.result(), now_clients, now_facilities, metric)
 
 
 @pytest.mark.parametrize("metric", ["l2", "linf"])
@@ -103,6 +107,9 @@ def test_three_paths_converge_on_one_state(metric):
         dyn.move_client(handles[i], clients[i, 0], clients[i, 1])
         assert_matches_brute_force(dyn, dyn.result(), probes, f"move {i}")
 
-    assert_same_answers(
-        reference, [("crest", crest), ("dynamic", dyn.result())], probes
+    assert_same_answers(reference, [("crest", crest)], probes)
+    np.testing.assert_array_equal(
+        dyn.result().heat_at_many(probes), reference.heat_at_many(probes)
     )
+    assert dyn.result().rnn_at_many(probes) == reference.rnn_at_many(probes)
+    assert_top_k_exact(dyn.result(), clients, facilities, metric)

@@ -205,4 +205,4 @@ class TestSharedX:
         grid, bounds = service.tile(h, 0, 0, 0)
         heat, _rnn = dynamic_brute_force(dyn, pixel_centres(bounds, 64))
         np.testing.assert_array_equal(grid.ravel(), heat)
-        assert service.stats.sweeps == 0
+        assert not service.result(h).region_set.swept

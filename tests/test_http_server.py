@@ -382,6 +382,22 @@ def test_error_mapping(server, handle):
         f"{base}/tiles/{handle}/9999999999/0/0.png")) == 400
 
 
+@pytest.mark.parametrize("k", [True, 2.9, "3"], ids=["true", "2.9", "string"])
+@pytest.mark.parametrize("endpoint", ["build", "query"])
+def test_k_must_be_a_json_integer(server, handle, endpoint, k):
+    """``k`` is a JSON integer that is not a boolean: ``true``, ``2.9`` and
+    ``"3"`` answer 400 instead of passing as 1, 2 and 3."""
+    if endpoint == "build":
+        _s, ds = _post(server.url + "/datasets", {"clients": [[0.1, 0.2], [0.3, 0.4]]})
+        url, body = server.url + "/build", {"dataset": ds["dataset"], "k": k}
+    else:
+        url, body = f"{server.url}/query/{handle}", {"kind": "top-k", "k": k}
+    with pytest.raises(urllib.error.HTTPError) as exc:
+        _post(url, body)
+    assert exc.value.code == 400
+    assert "JSON integer" in json.loads(exc.value.read())["error"]["message"]
+
+
 def test_payload_too_large_is_413():
     with ThreadedHTTPServer(max_body_bytes=256) as srv:
         big = {"clients": [[0.1, 0.2]] * 500}
@@ -480,20 +496,21 @@ def test_partial_update_preserves_clean_tile_etags(server):
     assert stats["service"]["tile_renders"] == renders_before + n200
 
 
-def test_dynamic_serving_never_sweeps():
-    """A dynamic handle serves tiles, updates and heat/RNN queries from
-    its NN-circle surface: ``/stats`` counts no sweep throughout.
-    ``rebuild`` is an ignored build field, so any value is accepted."""
+def test_dynamic_serving_never_sweeps(monkeypatch):
+    """A dynamic handle serves tiles, updates and heat/RNN/top-k queries
+    from its NN-circle surface: no sweep runs throughout.  ``rebuild`` is
+    an ignored build field, so any value is accepted."""
+    from repro.core.surface import NNCircleSurface
     from repro.nn.rnn import NaiveRNN
 
+    def no_sweep(*_args, **_kwargs):
+        raise AssertionError("a serving request swept")
+
+    monkeypatch.setattr(NNCircleSurface, "sweep", no_sweep)
     rng = np.random.default_rng(SEED + 6)
     clients, facilities = rng.random((60, 2)), rng.random((10, 2))
     probes = rng.random((200, 2))
     with ThreadedHTTPServer(tile_size=16) as srv:
-        def sweeps():
-            _s, body, _ = _get(srv.url + "/stats")
-            return json.loads(body)["service"]["sweeps"]
-
         def fetch_tiles():
             for tx in range(2):
                 for ty in range(2):
@@ -509,7 +526,6 @@ def test_dynamic_serving_never_sweeps():
         handle = kicked["handle"]
         assert _poll_ready(srv.url, handle)["status"] == "ready"
         fetch_tiles()
-        assert sweeps() == 0
         for step in range(3):
             x, y = rng.random(2)
             clients[step] = (x, y)
@@ -521,10 +537,11 @@ def test_dynamic_serving_never_sweeps():
             _s, rnn = _post(f"{srv.url}/query/{handle}", {
                 "kind": "rnn", "points": probes.tolist(),
             })
+            _s, top = _post(f"{srv.url}/query/{handle}", {"kind": "top-k", "k": 1})
             want = NaiveRNN(clients, facilities, metric="l2").query_many(probes)
             assert heat["heats"] == [len(s) for s in want]
             assert rnn["rnn"] == [sorted(s) for s in want]
-            assert sweeps() == 0
+            assert top["heats"][0] >= max(heat["heats"])
 
 
 def test_default_tile_fetch_is_the_real_render():

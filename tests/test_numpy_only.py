@@ -62,3 +62,37 @@ def test_served_build_never_imports_scipy():
     """)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_served_tiles_and_queries_never_load_numpy_ma():
+    """``np.unique`` loads ``numpy.ma`` on first use (10-17 ms): a served
+    build, a tile with an explicit ``vmax`` and a heat query, under each
+    metric, leave it unloaded."""
+    proc = _run("""
+        import json, sys, time, urllib.request
+        import numpy as np
+        from repro.server import ThreadedHTTPServer
+
+        def call(url, payload=None):
+            data = None if payload is None else json.dumps(payload).encode()
+            with urllib.request.urlopen(url, data=data, timeout=30) as resp:
+                return resp.read()
+
+        rng = np.random.default_rng(9)
+        with ThreadedHTTPServer(tile_size=64) as srv:
+            ds = json.loads(call(srv.url + "/datasets", {
+                "clients": rng.random((300, 2)).tolist(),
+                "facilities": rng.random((60, 2)).tolist(),
+            }))["dataset"]
+            for metric in ("l2", "l1", "linf"):
+                built = call(srv.url + "/build", {"dataset": ds, "metric": metric})
+                status = f"{srv.url}/build/{json.loads(built)['handle']}"
+                while json.loads(call(status))["status"] == "building":
+                    time.sleep(0.01)
+                tiles = status.replace("/build/", "/tiles/")
+                call(tiles + "/1/0/1.png?vmax=5")
+                call(status.replace("/build/", "/query/"), {"points": [[0.5, 0.5]]})
+        print("numpy.ma" in sys.modules)
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

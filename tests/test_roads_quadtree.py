@@ -1,11 +1,10 @@
-"""Road-network generator and quadtree index."""
+"""Road-network generator."""
 
 import numpy as np
 import pytest
 
 from repro.data.roads import road_network, road_network_points
 from repro.errors import InvalidInputError
-from repro.index.quadtree import QuadTree
 
 
 class TestRoadNetwork:
@@ -67,48 +66,3 @@ class TestRoadNetwork:
         result = RNNHeatMap(pool[:300], pool[300:], metric="l2").build()
         assert result.labels > 0
 
-
-class TestQuadTree:
-    def test_empty(self):
-        t = QuadTree(np.array([]), np.array([]), np.array([]), np.array([]))
-        assert t.query_point(0, 0) == []
-
-    def test_matches_brute_force(self, rng):
-        n = 400
-        cx, cy = rng.random(n) * 10, rng.random(n) * 10
-        r = rng.random(n) * 0.4
-        t = QuadTree(cx - r, cx + r, cy - r, cy + r)
-        for _ in range(80):
-            px, py = rng.random(2) * 10
-            expected = sorted(
-                int(i)
-                for i in range(n)
-                if cx[i] - r[i] <= px <= cx[i] + r[i]
-                and cy[i] - r[i] <= py <= cy[i] + r[i]
-            )
-            assert sorted(t.query_point(px, py)) == expected
-
-    def test_seam_points(self):
-        """Points exactly on quadrant boundaries find rectangles on both
-        sides (the multi-child descent)."""
-        # Two rectangles flanking x = 0.5 in a [0,1]^2 world.
-        t = QuadTree(
-            np.array([0.0, 0.5]), np.array([0.5, 1.0]),
-            np.array([0.0, 0.0]), np.array([1.0, 1.0]),
-        )
-        assert sorted(t.query_point(0.5, 0.5)) == [0, 1]
-
-    def test_custom_ids(self):
-        t = QuadTree(np.array([0.0]), np.array([1.0]),
-                     np.array([0.0]), np.array([1.0]), ids=np.array([7]))
-        assert t.query_point(0.5, 0.5) == [7]
-
-    def test_mismatched_arrays(self):
-        with pytest.raises(InvalidInputError):
-            QuadTree(np.zeros(2), np.ones(2), np.zeros(1), np.ones(1))
-
-    def test_deep_identical_rects(self):
-        """Many identical rectangles force the depth cap (no infinite split)."""
-        n = 200
-        t = QuadTree(np.zeros(n), np.ones(n), np.zeros(n), np.ones(n))
-        assert len(t.query_point(0.5, 0.5)) == n

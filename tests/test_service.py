@@ -301,12 +301,13 @@ class TestPersistentStore:
         sidecar = json.loads(sidecar_path.read_text())
         sidecar.update(n_slabs=2, n_workers=2, transport_s=0.25, n_dirty_bands=3)
         sidecar_path.write_text(json.dumps(sidecar))
-        builds, sweeps = service.stats.builds, service.stats.sweeps
+        builds = service.stats.builds
 
         assert service.build(O, F, metric="l2") == h
         assert service.stats.promotions == 1
         assert service.result(h).stats.labels == labels > 0
-        assert (service.stats.builds, service.stats.sweeps) == (builds, sweeps)
+        assert service.stats.builds == builds
+        assert not service.result(h).region_set.swept
 
     def test_without_store_eviction_still_forgets(self, instance):
         O, F = instance

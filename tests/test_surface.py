@@ -2,11 +2,11 @@
 
 Under the size measure a point's heat is the number of NN-circles that
 strictly contain it, so ``NNCircleSurface`` answers heat, RNN sets, rasters,
-the world rectangle and the maximum heat from the circles alone.  These
-tests pin it to the swept ``RegionSet`` (same answers at every probe and
-pixel centre, bit-identical bounds, equal ``max_heat``), pin the service's
-on-demand sweep (run once, only for fragment-level requests), and pin the
-tangent-circle input where the sweep itself mislabels a region.
+the world rectangle, the maximum heat and the top-k heats from the circles
+alone.  These tests pin it to the swept ``RegionSet`` (same answers at
+every probe and pixel centre, bit-identical bounds, equal ``max_heat``),
+pin its top-k to brute force on inputs where the sweep mislabels regions,
+and pin that serving never sweeps.
 """
 
 from __future__ import annotations
@@ -22,20 +22,20 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro import HeatMapService, RNNHeatMap, faults
+from repro import HeatMapService, RNNHeatMap
 from repro.approx import build_knn_graph_result
 from repro.core.heatmap import sweep_circles
 from repro.core.serialize import load_region_set, save_region_set
 from repro.core.surface import NNCircleSurface
+from repro.errors import InvalidInputError
 from repro.influence.measures import SizeMeasure
-from repro.faults import FaultInjector
 from repro.render.png import decode_png
 from repro.render.raster import world_bounds
 from repro.server import ThreadedHTTPServer
 from repro.service import AsyncHeatMapService
 from repro.service.tiles import tile_bounds
 from repro.server.wire import handle_vmax
-from helpers import pixel_centres
+from helpers import assert_top_k_exact, brute_heat, pixel_centres
 
 
 def _instance(seed: int):
@@ -47,23 +47,6 @@ def _instance(seed: int):
     facilities = rng.random((n_fac, 2))
     probes = rng.random((400, 2)) * 1.2 - 0.1
     return clients, facilities, probes
-
-
-def _brute_heat(points, clients, facilities, metric="l2"):
-    """Strictly-containing NN-circle count per point, with a tie mask."""
-    p = np.asarray(points)[:, None, :]
-    if metric == "l2":
-        def dist(a, b):
-            return np.sqrt(((a - b) ** 2).sum(axis=-1))
-    elif metric == "l1":
-        def dist(a, b):
-            return np.abs(a - b).sum(axis=-1)
-    else:
-        def dist(a, b):
-            return np.abs(a - b).max(axis=-1)
-    radii = dist(clients[:, None, :], facilities[None, :, :]).min(axis=1)
-    d = dist(p, clients[None, :, :])
-    return (d < radii).sum(axis=1), (np.abs(d - radii) <= 1e-9).any(axis=1)
 
 
 class TestSurfaceEqualsSweep:
@@ -225,28 +208,31 @@ class TestTangentCircles:
     def test_served_heat_and_tiles_equal_brute_force(self, probes):
         service = HeatMapService(tile_size=128)
         h = service.build(self.CLIENTS, self.FACILITIES, metric="l2")
-        want, tie = _brute_heat(probes, self.CLIENTS, self.FACILITIES)
+        want, tie = brute_heat(probes, self.CLIENTS, self.FACILITIES)
         got = service.heat_at_many(h, probes)
         np.testing.assert_array_equal(got[~tie], want[~tie])
         assert service.heat_at_many(h, np.array([[0.12, 0.374]]))[0] == 1.0
         for z, tx, ty in ((0, 0, 0), (1, 0, 1), (2, 1, 2)):
             grid, bounds = service.tile(h, z, tx, ty)
-            want, tie = _brute_heat(
+            want, tie = brute_heat(
                 pixel_centres(bounds, 128), self.CLIENTS, self.FACILITIES
             )
             np.testing.assert_array_equal(grid.ravel()[~tie], want[~tie])
-        assert service.stats.sweeps == 0
+        assert_top_k_exact(
+            service.result(h), self.CLIENTS, self.FACILITIES, "l2", side=400
+        )
+        assert not service.result(h).region_set.swept
 
     @pytest.mark.xfail(
         strict=True,
         reason="the arrangement sweep mislabels the region beside the "
         "shared tangent point (one too high); fragment-level results "
-        "(top-k, threshold, fragments) still carry it",
+        "(threshold, fragments) still carry it",
     )
     @pytest.mark.parametrize("engine", ["crest", "crest-l2"])
     def test_sweep_answers_equal_brute_force(self, engine, probes):
         swept = RNNHeatMap(self.CLIENTS, self.FACILITIES, metric="l2").build(engine)
-        want, tie = _brute_heat(probes, self.CLIENTS, self.FACILITIES)
+        want, tie = brute_heat(probes, self.CLIENTS, self.FACILITIES)
         np.testing.assert_array_equal(
             swept.heat_at_many(probes)[~tie], want[~tie]
         )
@@ -267,14 +253,22 @@ class TestOnDemandSweep:
         service.tile(h, 0, 0, 0)
         service.viewport(h, 2, service.world(h))
         assert handle_vmax(service.result(h).max_heat) > 0
-        assert service.stats.sweeps == 0
-        assert service.stats_snapshot()["sweeps"] == 0
+        assert service.top_k_heats(h, 3)[0] == service.max_heat(h)
+        assert "sweeps" not in service.stats_snapshot()
         assert not service.result(h).region_set.swept
 
-    def test_concurrent_topk_sweeps_once(self, instance):
+    def test_concurrent_topk_searches_once(self, instance):
         clients, facilities, _probes = instance
         service = HeatMapService()
         h = service.build(clients, facilities, metric="l2")
+        surface = service.result(h).region_set
+        search, searches = surface._disk_heats, []
+
+        def counted(found):
+            searches.append(1)
+            return search(found)
+
+        surface._disk_heats = counted
         barrier = threading.Barrier(8)
 
         def top_k(_):
@@ -289,19 +283,20 @@ class TestOnDemandSweep:
                 answers = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(interval)
-        assert service.stats.sweeps == 1
-        expected = RNNHeatMap(clients, facilities, metric="l2").build()
-        assert answers == [expected.region_set.top_k_heats(3)] * 8
-        # Every later fragment-level request reuses that one sweep.
-        view = service.threshold(h, answers[0][-1])
-        assert all(f.heat >= answers[0][-1] for f in view.fragments)
-        assert service.result(h).stats.labels == expected.stats.labels
-        assert service.stats.sweeps == 1
+        assert answers == [answers[0]] * 8 and len(searches) == 1
+        # A shorter list and the maximum reuse that search; a longer one
+        # searches again, and agrees.
+        assert service.top_k_heats(h, 2) == answers[0][:2]
+        assert service.max_heat(h) == answers[0][0]
+        assert len(searches) == 1
+        assert service.top_k_heats(h, 10**9)[:3] == answers[0]
+        assert len(searches) == 2
+        assert not surface.swept
 
     def test_other_measures_and_dynamic_handles_sweep_at_build(self, instance):
         """Other measures sweep at build.  A dynamic handle does not: it
-        is a circle surface per version, swept only by top-k and counted
-        like a static handle's on-demand sweep."""
+        is a circle surface per version, and its top-k is searched per
+        version without a sweep."""
         from repro import DynamicHeatMap
         from repro.influence.measures import WeightedMeasure
 
@@ -320,13 +315,15 @@ class TestOnDemandSweep:
         service.rnn_at_many(hd, probes)
         service.tile(hd, 0, 0, 0)
         service.viewport(hd, 2, service.world(hd))
-        assert service.stats.sweeps == 0
         service.top_k_heats(hd, 3)
-        service.top_k_heats(hd, 5)  # the same version: no second sweep
-        assert service.stats.sweeps == 1
+        first = service.result(hd)
         dyn.move_client(1, 0.25, 0.75)
         service.top_k_heats(hd, 3)
-        assert service.stats.sweeps == 2
+        assert service.result(hd) is not first
+        _handles, now_clients, now_facilities = dyn.points()
+        assert_top_k_exact(service.result(hd), now_clients, now_facilities, "l2")
+        assert not first.region_set.swept
+        assert not service.result(hd).region_set.swept
 
     def test_lazy_sweep_is_the_engine_sweep(self, instance):
         clients, facilities, _probes = instance
@@ -337,72 +334,17 @@ class TestOnDemandSweep:
         assert len(surface.fragments) == len(direct.region_set)
 
 
-class TestAsyncSweepFlight:
-    """The async front end sweeps a surface-served handle in a flight:
-    waiters hold no executor thread, and an abandoned sweep stops."""
+def _gated_search(surface, started, release, searches):
+    """Make ``surface``'s next disk search wait for ``release``."""
+    search = surface._disk_heats
 
-    @pytest.fixture
-    def slow_sweep(self):
-        """Every sweep event batch sleeps 20 ms (the first 100 batches)."""
-        inj = faults.install(FaultInjector(seed=0))
-        inj.schedule("sweep-batch", "slow", delay=0.02, count=100)
-        try:
-            yield inj
-        finally:
-            faults.uninstall()
+    def gated(found):
+        searches.append(1)
+        started.set()
+        assert release.wait(20.0), "test never released the search"
+        return search(found)
 
-    @staticmethod
-    async def _until_sweeping(svc):
-        deadline = time.monotonic() + 20.0
-        while svc.stats.sweeps == 0:
-            assert time.monotonic() < deadline, "the sweep never started"
-            await asyncio.sleep(0.002)
-
-    def test_waiters_leave_threads_free(self, slow_sweep):
-        clients, facilities, probes = _instance(23)
-        expected = RNNHeatMap(clients, facilities, metric="l2").build()
-
-        async def scenario():
-            svc = AsyncHeatMapService(max_workers=2)
-            h = await svc.build(clients, facilities, metric="l2")
-            tops = [asyncio.create_task(svc.top_k_heats(h, 3)) for _ in range(8)]
-            await self._until_sweeping(svc)
-            # Seven waiters and one sweep: a probe still finds a thread.
-            heats = await asyncio.wait_for(svc.heat_at_many(h, probes), 20.0)
-            mid_sweep = not svc.service.result(h).region_set.swept
-            answers = await asyncio.wait_for(asyncio.gather(*tops), 60.0)
-            await svc.aclose()
-            return svc, heats, mid_sweep, answers
-
-        svc, heats, mid_sweep, answers = asyncio.run(scenario())
-        assert mid_sweep
-        np.testing.assert_array_equal(heats, expected.heat_at_many(probes))
-        assert answers == [expected.region_set.top_k_heats(3)] * 8
-        assert svc.stats.sweeps == 1
-
-    def test_abandoned_sweep_stops(self, slow_sweep):
-        clients, facilities, _probes = _instance(23)
-
-        async def scenario():
-            svc = AsyncHeatMapService(max_workers=2)
-            h = await svc.build(clients, facilities, metric="l2")
-            task = asyncio.create_task(svc.top_k_heats(h, 3))
-            await self._until_sweeping(svc)
-            task.cancel()
-            with pytest.raises(asyncio.CancelledError):
-                await task
-            await svc.aclose()  # joins the executor: the sweep has ended
-            return svc, h
-
-        svc, h = asyncio.run(scenario())
-        surface = svc.service.result(h).region_set
-        # It stopped within a batch or two of the cancellation instead of
-        # sweeping the map for nobody, and left the handle unswept.
-        assert slow_sweep.stats()["sweep-batch:slow"] < 10
-        assert not surface.swept
-        expected = RNNHeatMap(clients, facilities, metric="l2").build()
-        assert svc.service.top_k_heats(h, 3) == expected.region_set.top_k_heats(3)
-        assert svc.stats.sweeps == 2
+    surface._disk_heats = gated
 
 
 def test_default_colour_scale_is_found_once_off_the_threads():
@@ -415,16 +357,7 @@ def test_default_colour_scale_is_found_once_off_the_threads():
     async def scenario():
         svc = AsyncHeatMapService(max_workers=2)
         h = await svc.build(clients, facilities, metric="l2")
-        surface = svc.service.result(h).region_set
-        search = surface._disk_peak
-
-        def gated():
-            searches.append(1)
-            started.set()
-            assert release.wait(20.0), "test never released the search"
-            return search()
-
-        surface._disk_peak = gated
+        _gated_search(svc.service.result(h).region_set, started, release, searches)
         tops = [asyncio.create_task(svc.max_heat(h)) for _ in range(8)]
         loop = asyncio.get_running_loop()
         assert await loop.run_in_executor(None, started.wait, 20.0)
@@ -443,6 +376,132 @@ def test_default_colour_scale_is_found_once_off_the_threads():
     assert len(searches) == 1
 
 
+def test_top_k_is_found_once_off_the_threads():
+    """Concurrent top-k requests for one handle and k await one search in
+    a flight: a probe still finds a free executor thread meanwhile, and
+    invalidating the handle drops the flight."""
+    clients, facilities, probes = _instance(23)
+    started, release = threading.Event(), threading.Event()
+    searches = []
+
+    async def scenario():
+        svc = AsyncHeatMapService(max_workers=2)
+        h = await svc.build(clients, facilities, metric="l2")
+        _gated_search(svc.service.result(h).region_set, started, release, searches)
+        tops = [asyncio.create_task(svc.top_k_heats(h, 4)) for _ in range(8)]
+        loop = asyncio.get_running_loop()
+        assert await loop.run_in_executor(None, started.wait, 20.0)
+        try:
+            heats = await asyncio.wait_for(svc.heat_at_many(h, probes), 20.0)
+            assert list(svc._inflight_peaks) == [(h, 4)]
+        finally:
+            release.set()
+        answers = await asyncio.wait_for(asyncio.gather(*tops), 60.0)
+        other = asyncio.create_task(svc.top_k_heats(h, 6))
+        await asyncio.sleep(0)
+        assert list(svc._inflight_peaks) == [(h, 6)]
+        svc.invalidate(h)
+        assert svc._inflight_peaks == {}
+        await asyncio.gather(other, return_exceptions=True)
+        await svc.aclose()
+        return heats, answers
+
+    heats, answers = asyncio.run(scenario())
+    expected = RNNHeatMap(clients, facilities, metric="l2").surface().region_set
+    np.testing.assert_array_equal(heats, expected.heat_at_many(probes))
+    assert answers == [expected.top_k_heats(4)] * 8
+    assert len(searches) == 1
+
+
+def _uniform(seed, n=200, m=40):
+    rng = np.random.default_rng(seed)
+    return rng.random((n, 2)), rng.random((m, 2))
+
+
+def _shared_x(seed):
+    """60 clients and 12 facilities around (0.1, 0.1), x clipped at 0:
+    many share x = 0, where the L2 sweep mislabels regions."""
+    rng = np.random.default_rng(seed)
+    clients, facilities = rng.normal(0.1, 0.1, (60, 2)), rng.normal(0.1, 0.1, (12, 2))
+    clients[:, 0] = np.maximum(clients[:, 0], 0.0)
+    facilities[:, 0] = np.maximum(facilities[:, 0], 0.0)
+    return clients, facilities
+
+
+def _duplicated():
+    """150 clients, each listed twice: coincident circles."""
+    clients, facilities = _uniform(2, 150, 30)
+    return np.concatenate([clients, clients]), facilities
+
+
+def _on_boundary():
+    """Lattice points: facilities on other clients' circles, shared edges.
+    Clients on a facility, which bound no circle, are left out."""
+    rng = np.random.default_rng(4)
+    clients = rng.integers(0, 11, (40, 2)) / 10.0
+    facilities = rng.integers(0, 11, (8, 2)) / 10.0
+    apart = (clients[:, None, :] != facilities[None, :, :]).any(axis=2).all(axis=1)
+    return clients[apart], facilities
+
+
+TOP_K_INPUTS = {
+    "uniform-11": lambda: _instance(11)[:2],
+    "uniform-23": lambda: _instance(23)[:2],
+    "shared-x": lambda: _shared_x(19),
+    "rounded": lambda: tuple(np.round(a, 2) for a in _uniform(0)),
+    "duplicated": _duplicated,
+    "tangent": lambda: (np.array([[0.5, 0.5], [0.52, 0.5]]), np.array([[0.7, 0.5]])),
+    "on-boundary": _on_boundary,
+}
+
+ENGINE_METRICS = [
+    ("crest", "l2"), ("crest", "l1"), ("crest", "linf"),
+    ("knn-graph", "l2"), ("knn-graph", "linf"), ("lsh-rnn", "l2"),
+]
+
+
+class TestTopK:
+    """Top-k without a sweep, exact against brute force: every listed heat
+    is read at a certified point, and every region heat is listed."""
+
+    @pytest.mark.parametrize("engine,metric", ENGINE_METRICS)
+    @pytest.mark.parametrize("name", sorted(TOP_K_INPUTS))
+    def test_exact_against_brute_force(self, name, engine, metric):
+        clients, facilities = TOP_K_INPUTS[name]()
+        service = HeatMapService()
+        h = service.build(clients, facilities, metric=metric, algorithm=engine)
+        assert_top_k_exact(service.result(h), clients, facilities, metric)
+        assert service.top_k_heats(h, 1)[0] == service.max_heat(h)
+        assert not service.result(h).region_set.swept
+
+    def test_shared_x_lists_the_maximum_first(self):
+        """The sweep labels a fragment of this map 9; its heat is 8."""
+        service = HeatMapService()
+        h = service.build(*_shared_x(19), metric="l2")
+        assert service.top_k_heats(h, 3) == [8.0, 7.0, 6.0]
+        assert service.max_heat(h) == 8.0
+
+    @pytest.mark.parametrize("engine", ["crest", "knn-graph", "lsh-rnn"])
+    def test_duplicated_clients_give_even_heats(self, engine):
+        service = HeatMapService()
+        h = service.build(*_duplicated(), metric="l2", algorithm=engine)
+        assert service.top_k_heats(h, 6) == [50.0, 48.0, 46.0, 44.0, 42.0, 40.0]
+        assert all(v % 2 == 0 for v in service.top_k_heats(h, 10**9))
+
+    def test_k_beyond_the_heats_returns_them_all(self):
+        surface = RNNHeatMap(*_uniform(0), metric="l2").surface().region_set
+        full = surface.top_k_heats(10**9)
+        assert surface.top_k_heats(10**12) == full == surface.top_k_heats(len(full))
+        assert full[-1] == 0.0
+        with pytest.raises(InvalidInputError):
+            surface.top_k_heats(0)
+
+    def test_no_circles_no_heats(self):
+        pts = np.array([[0.1, 0.2], [0.5, 0.5]])
+        surface = RNNHeatMap(pts, pts, metric="l2").surface().region_set
+        assert surface.top_k_heats(5) == []
+
+
 class TestApproximateMaps:
     """The approximate engines' circles get no arrangement: sweeping their
     heavily overlapping circles is what those engines exist to avoid."""
@@ -452,14 +511,11 @@ class TestApproximateMaps:
         rng = np.random.default_rng(3)
         return rng.random((150, 2)), rng.random((60, 2))
 
-    def test_top_k_counts_down_from_the_maximum(self, instance):
+    def test_top_k_lists_region_heats(self, instance):
         clients, facilities = instance
         result = build_knn_graph_result(clients, facilities, metric="l2", k=3)
-        surface = result.region_set
-        swept = sweep_circles(surface.circles, SizeMeasure(), surface.transform)
-        want = [v for v in swept.region_set.top_k_heats(6) if v >= 1][:5]
-        assert surface.top_k_heats(5) == want
-        assert not surface.swept
+        assert_top_k_exact(result, clients, facilities, "l2", k=3)
+        assert not result.region_set.swept
 
     def test_service_never_sweeps_them(self, instance):
         from repro.errors import AlgorithmUnsupportedError
@@ -471,7 +527,7 @@ class TestApproximateMaps:
         assert top[0] == service.result(h).stats.max_heat
         with pytest.raises(AlgorithmUnsupportedError):
             service.threshold(h, top[-1])
-        assert service.stats.sweeps == 0
+        assert not service.result(h).region_set.swept
 
 
 def test_knn_graph_max_heat_is_the_sweeps():
