@@ -4,8 +4,8 @@ Starts the real server (stdlib asyncio, ephemeral port) in-process and
 drives it over real sockets with N keep-alive viewer connections:
 
 1. **build storm** — every viewer POSTs the identical build at once; the
-   edge deduplicates onto one background sweep (one 202 kick, N-1 joiners)
-   and everyone polls to readiness;
+   edge deduplicates onto one background build (one kick, N-1 joiners,
+   each POST waiting briefly for it) and everyone polls to readiness;
 2. **cold pan** — every viewer fetches the full tile level in shuffled
    order; concurrent cold requests for one tile coalesce onto a single
    render (the coalescing hit rate is the headline number);

@@ -63,11 +63,15 @@ def _nn_input(name):
         return rng.random((100_000, 2)), rng.random((10_000, 2))
     if name == "nyc-20kx6k":
         return sample_clients_facilities(nyc_like(30_000, seed=0), 20_000, 6_000, seed=1)
+    if name == "duplicated-50kx5k":
+        # 50 sites, 100 copies each: quantile cuts cannot part the copies.
+        return rng.random((50_000, 2)), np.repeat(rng.random((50, 2)), 100, axis=0)
     return _cluster_with_outliers(rng, 50_000), _cluster_with_outliers(rng, 5_000)
 
 
 @pytest.mark.parametrize(
-    "name", ("600x120", "uniform-100kx10k", "nyc-20kx6k", "cluster-50kx5k")
+    "name", ("600x120", "uniform-100kx10k", "nyc-20kx6k", "cluster-50kx5k",
+             "duplicated-50kx5k")
 )
 @pytest.mark.parametrize("backend", ("auto", "ckdtree"))
 def test_nn_circle_backend(benchmark, backend, name):

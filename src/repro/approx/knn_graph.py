@@ -95,6 +95,11 @@ def brute_force_knn(
     (stable argsort), so the result is a pure function of the inputs.
     This is the oracle the differential tests compare approximate engines
     against, and the small-instance fallback of the builders.
+
+    Under L2 the matmul of :func:`pairwise_distances` picks the
+    neighbours, and their distances are recomputed from coordinate
+    differences: the matmul's cancellation would give a query standing
+    on a data point a distance of about 1.5e-8, not 0.
     """
     queries = _as_points(queries, "queries")
     data = _as_points(data, "data")
@@ -110,8 +115,12 @@ def brute_force_knn(
         hi = min(lo + chunk, len(queries))
         d = pairwise_distances(queries[lo:hi], data, metric)
         order = np.argsort(d, axis=1, kind="stable")[:, :k]
-        idx[lo:hi] = order
-        dist[lo:hi] = np.take_along_axis(d, order, axis=1)
+        if metric == "l2":
+            d = _chunked_candidate_distances(data, queries[lo:hi], order, metric)
+            idx[lo:hi], dist[lo:hi] = _merge_topk(order, d, k)
+        else:
+            idx[lo:hi] = order
+            dist[lo:hi] = np.take_along_axis(d, order, axis=1)
     return idx, dist
 
 

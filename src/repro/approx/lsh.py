@@ -27,7 +27,13 @@ import math
 import numpy as np
 
 from ..errors import InvalidInputError
-from .knn_graph import _as_points, _merge_topk, brute_force_knn, pairwise_distances
+from .knn_graph import (
+    _as_points,
+    _chunked_candidate_distances,
+    _merge_topk,
+    brute_force_knn,
+    pairwise_distances,
+)
 
 __all__ = ["LSHIndex", "tables_for_recall", "calibrate_width"]
 
@@ -153,7 +159,9 @@ class LSHIndex:
                 starved.append(i)
                 continue
             self.candidates_scanned += len(cand)
-            d = pairwise_distances(queries[i : i + 1], self.data[cand], "l2")
+            d = _chunked_candidate_distances(
+                self.data, queries[i : i + 1], cand[None, :], "l2"
+            )
             top, top_d = _merge_topk(cand[None, :], d, k)
             idx[i] = top[0]
             dist[i] = top_d[0]

@@ -184,7 +184,6 @@ class RNNHeatMap:
         algorithm: str = "crest",
         *,
         collect_fragments: bool = True,
-        status_backend: str = "sortedlist",
         baseline_index: str = "segment_tree",
         on_label=None,
         should_cancel=None,
@@ -205,7 +204,7 @@ class RNNHeatMap:
         """
         return sweep_circles(
             self.circles, self.measure, self.transform, algorithm,
-            collect_fragments=collect_fragments, status_backend=status_backend,
+            collect_fragments=collect_fragments,
             baseline_index=baseline_index, on_label=on_label,
             should_cancel=should_cancel,
         )
@@ -255,7 +254,6 @@ def sweep_circles(
     algorithm: str = "crest",
     *,
     collect_fragments: bool = True,
-    status_backend: str = "sortedlist",
     baseline_index: str = "segment_tree",
     on_label=None,
     should_cancel=None,
@@ -269,7 +267,6 @@ def sweep_circles(
         transform=transform,
         collect_fragments=collect_fragments,
         on_label=on_label,
-        status_backend=status_backend,
         baseline_index=baseline_index,
         should_cancel=should_cancel,
     )

@@ -29,7 +29,7 @@ Third-party engines can register at import time::
 Runner contract: ``runner(circles, measure, *, transform, collect_fragments,
 on_label, **options) -> (SweepStats, RegionSet | None)`` — exactly the
 contract of ``run_crest`` and friends; adapters below absorb per-engine
-option names (``status_backend``, ``baseline_index``).
+option names (``baseline_index``).
 
 Error semantics (kept bit-for-bit compatible with the old chain):
 
@@ -248,21 +248,21 @@ class AlgorithmRegistry:
 # facade passes its full option set to whichever engine was selected.
 # ----------------------------------------------------------------------
 def _crest_linf(circles, measure, *, transform, collect_fragments, on_label,
-                status_backend="sortedlist", should_cancel=None, **_ignored):
+                should_cancel=None, **_ignored):
     """CREST segment sweep (with changed-interval batching)."""
     return run_crest(
         circles, measure, use_changed_intervals=True,
-        status_backend=status_backend, collect_fragments=collect_fragments,
+        collect_fragments=collect_fragments,
         transform=transform, on_label=on_label, should_cancel=should_cancel,
     )
 
 
 def _crest_a_linf(circles, measure, *, transform, collect_fragments, on_label,
-                  status_backend="sortedlist", should_cancel=None, **_ignored):
+                  should_cancel=None, **_ignored):
     """CREST-A ablation (no changed-interval batching)."""
     return run_crest(
         circles, measure, use_changed_intervals=False,
-        status_backend=status_backend, collect_fragments=collect_fragments,
+        collect_fragments=collect_fragments,
         transform=transform, on_label=on_label, should_cancel=should_cancel,
     )
 

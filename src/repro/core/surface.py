@@ -82,6 +82,65 @@ def _half_chord(x, cx, r2) -> np.ndarray:
     return np.sqrt(h, out=h)
 
 
+def _column_runs(c0, c1, shape, dtype, runs) -> np.ndarray:
+    """The ``shape`` (height, width) grid, as unsigned ``dtype``, counting
+    the runs of rows ``runs(k, c)`` gives as ``(start, stop)`` arrays for
+    each shape k in each of its pixel columns ``c0[k] <= c < c1[k]``.
+
+    Each run adds +1 at its start and -1 past its end in a difference
+    array, and running sums down the columns give the counts.  No count
+    exceeds the number of shapes, so the differences may wrap around in
+    the unsigned ``dtype``: the sums come out exact.  Shape-column pairs
+    are expanded ``_BLOCK`` at a time.
+    """
+    height, width = shape
+    one = dtype.type(1)  # a Python int would take ufunc.at's slow path
+    pairs = np.maximum(c1 - c0, 0)
+    diff = np.zeros((height + 1) * width, dtype)
+    cuts = np.searchsorted(
+        np.cumsum(pairs), np.arange(_BLOCK, pairs.sum(), _BLOCK), "right"
+    )
+    lo = 0
+    for hi in [*_distinct(cuts).tolist(), len(pairs)]:
+        k = np.repeat(np.arange(lo, hi), pairs[lo:hi])
+        c = _ranges(c0[lo:hi], pairs[lo:hi])
+        lo = hi
+        start, stop = runs(k, c)
+        run = start < stop
+        c = c[run]
+        np.add.at(diff, start[run] * width + c, one)
+        np.subtract.at(diff, stop[run] * width + c, one)
+    diff = diff.reshape(height + 1, width)
+    np.cumsum(diff, axis=0, dtype=dtype, out=diff)
+    return diff[:height]
+
+
+def _guess(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """About where the sorted, evenly spaced ``a`` reaches each ``t``:
+    interpolated, so a row or so from ``np.searchsorted(a, t)``, which
+    rows too close to interpolate between fall back to."""
+    step = (a[-1] - a[0]) / max(len(a) - 1, 1)
+    if not step > 0:
+        return np.searchsorted(a, t)
+    return np.clip(np.ceil((t - a[0]) / step), 0, len(a)).astype(np.int64)
+
+
+def _settle(first: np.ndarray, n: int, test) -> np.ndarray:
+    """Move each guess ``first[i]`` to the first row r in ``[0, n]`` where
+    ``test(i, r)`` holds (``n`` where none does), for a test that fails
+    on a prefix of the rows and holds on the rest: one row at a time, so
+    a guess a row or two off costs a step or two."""
+    i = np.arange(len(first))
+    while len(i):
+        f = first[i]
+        down = (f > 0) & test(i, np.maximum(f - 1, 0))
+        up = ~down & (f < n) & ~test(i, np.minimum(f, n - 1))
+        first[i[down]] -= 1
+        first[i[up]] += 1
+        i = i[down | up]
+    return first
+
+
 class _Heats:
     """A search's distinct heats, each with a point reading it, and its
     floor: the k-th largest heat found (-1 until k are)."""
@@ -306,11 +365,13 @@ class NNCircleSurface:
         ``np.min_scalar_type(len(self))`` — no count exceeds the circle
         count — over the window of ``repro.render.raster.pixel_axes``.
 
-        Every pixel equals :meth:`heat_at_many` at its centre.  In the
-        identity frame the circles' spans are counted per pixel column
-        (:meth:`_span_count`); the rotated L1 frame counts each pixel.
+        Every pixel equals :meth:`heat_at_many` at its centre, and no
+        pixel is tested alone: disks add runs of rows per pixel column
+        and L-infinity squares rectangles of pixels
+        (:meth:`_span_count`), L1 squares runs of rows in the rotated
+        frame they live in (:meth:`_rotated_span_count`).
         """
-        from ..render.raster import pixel_axes, pixel_centres
+        from ..render.raster import pixel_axes
 
         xs, ys, bounds = pixel_axes(self, width, height, bounds)
         dtype = np.min_scalar_type(len(self))
@@ -318,9 +379,7 @@ class NNCircleSurface:
             return np.zeros((height, width), dtype), bounds
         if self.transform.is_identity:
             return self._span_count(xs, ys, dtype), bounds
-        ipts = self._internal(pixel_centres(xs, ys))
-        counts = self._count(ipts[:, 0], ipts[:, 1])
-        return counts.astype(dtype).reshape(height, width), bounds
+        return self._rotated_span_count(xs, ys, dtype), bounds
 
     def _span_count(self, xs: np.ndarray, ys: np.ndarray, dtype) -> np.ndarray:
         """Containment counts, as ``dtype``, at the identity-frame pixel
@@ -329,14 +388,10 @@ class NNCircleSurface:
         A circle is tested only at the pixels whose grid cell lists it, as
         in :meth:`_candidates` — a rectangle of pixels, since the cells of
         sorted centres are sorted.  Within it a square holds a rectangle of
-        pixels; a disk holds, per pixel column, the run of rows strictly
-        between ``cy -/+ h`` (:func:`_half_chord`, as :meth:`_inside` tests
-        it, once per circle and column).  Each rectangle or run adds +1 at
-        its start and -1 past its end in a difference array, and running
-        sums give the counts.  No count exceeds the circle count, so the
-        differences may wrap around in the unsigned ``dtype``: the sums
-        come out exact.  Circle-column pairs are expanded ``_BLOCK`` at a
-        time.
+        pixels, added into a 2-D difference array; a disk holds, per pixel
+        column, the run of rows strictly between ``cy -/+ h``
+        (:func:`_half_chord`, as :meth:`_inside` tests it, once per circle
+        and column), counted by :func:`_column_runs`.
         """
         grid = self._grid
         width, height = len(xs), len(ys)
@@ -367,27 +422,64 @@ class NNCircleSurface:
             np.cumsum(diff, axis=1, dtype=dtype, out=diff)
             return np.ascontiguousarray(diff[:height, :width])
         cx, cy, r2 = np.take(self._cols, ids, axis=1)
-        pairs = np.maximum(c1 - c0, 0)
-        diff = np.zeros((height + 1) * width, dtype)
-        cuts = np.searchsorted(
-            np.cumsum(pairs), np.arange(_BLOCK, pairs.sum(), _BLOCK), "right"
-        )
-        lo = 0
-        for hi in [*_distinct(cuts).tolist(), len(ids)]:
-            k = np.repeat(np.arange(lo, hi), pairs[lo:hi])
-            c = _ranges(c0[lo:hi], pairs[lo:hi])
-            lo = hi
+
+        def runs(k, c):
             h = _half_chord(xs[c], cx[k], r2[k])
             ck = cy[k]
             start = np.maximum(np.searchsorted(ys, ck - h, "right"), r0[k])
             stop = np.minimum(np.searchsorted(ys, ck + h, "left"), r1[k])
-            run = start < stop
-            c = c[run]
-            np.add.at(diff, start[run] * width + c, one)
-            np.subtract.at(diff, stop[run] * width + c, one)
-        diff = diff.reshape(height + 1, width)
-        np.cumsum(diff, axis=0, dtype=dtype, out=diff)
-        return diff[:height]
+            return start, stop
+
+        return _column_runs(c0, c1, (height, width), dtype, runs)
+
+    def _rotated_span_count(self, xs: np.ndarray, ys: np.ndarray, dtype) -> np.ndarray:
+        """:meth:`_span_count` for an L1 map, whose squares live in the
+        frame rotated by pi/4.
+
+        There pixel ``(r, c)`` sits at ``u = xs[c]*cos - ys[r]*sin`` and
+        ``v = xs[c]*sin + ys[r]*cos``, rounded term by term as
+        ``Rotation.forward_array`` rounds them.  Rounding is monotone, so
+        down a pixel column u never rises and v never falls, and a square's
+        test ``x_lo < u < x_hi``, ``y_lo < v < y_hi`` holds on one run of
+        rows.  Interpolating in the evenly spaced row terms guesses the
+        run's ends (:func:`_guess`) and the exact test settles the rows
+        beside them (:func:`_settle`).  Each square runs over the columns
+        whose centres lie in its diamond's x extent.  Unlike disks,
+        squares need no grid restriction: a point strictly inside a square
+        lies in its closed box, so the point's grid cell lists the square.
+        """
+        cos, sin = self.transform._cs()
+        xu, xv = xs * cos, xs * sin
+        yu, yv = ys * sin, ys * cos
+        # u and v are monotone in both axes, so the corner pixels bound
+        # the tile's internal box and the squares it may hold.
+        grid = self._grid
+        col = grid.column(np.array([xu[0] - yu[-1], xu[-1] - yu[0]]))
+        row = grid.row(np.array([xv[0] + yv[0], xv[-1] + yv[-1]]))
+        ids = self._window(col, row)
+        x_lo, x_hi, y_lo, y_hi = (v[ids] for v in self._box)
+        # The diamond's x extent, widened far past any rounding of it.
+        slack = 1e-9 * (np.abs(x_lo) + np.abs(x_hi) + np.abs(y_lo) + np.abs(y_hi))
+        c0 = np.searchsorted(xs, x_lo * cos + y_lo * sin - slack, "left")
+        c1 = np.searchsorted(xs, x_hi * cos + y_hi * sin + slack, "right")
+        height = len(ys)
+
+        def runs(k, c):
+            u, v = xu[c], xv[c]
+            lo_u, hi_u, lo_v, hi_v = x_lo[k], x_hi[k], y_lo[k], y_hi[k]
+            # The first row inside (u < x_hi and v > y_lo), and the first
+            # row past the run (u <= x_lo or v >= y_hi).
+            start = np.maximum(_guess(yu, u - hi_u), _guess(yv, lo_v - v))
+            stop = np.minimum(_guess(yu, u - lo_u), _guess(yv, hi_v - v))
+            start = _settle(start, height, lambda i, r: (
+                (u[i] - yu[r] < hi_u[i]) & (v[i] + yv[r] > lo_v[i])
+            ))
+            stop = _settle(stop, height, lambda i, r: (
+                (u[i] - yu[r] <= lo_u[i]) | (v[i] + yv[r] >= hi_v[i])
+            ))
+            return start, stop
+
+        return _column_runs(c0, c1, (height, len(xs)), dtype, runs)
 
     def _window(self, col: np.ndarray, row: np.ndarray) -> np.ndarray:
         """Indices of the circles listed in the grid cells spanned by

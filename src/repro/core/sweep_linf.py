@@ -29,10 +29,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..errors import BuildCancelledError, InvalidInputError
+from ..errors import BuildCancelledError
 from ..geometry.circle import NNCircleSet
 from ..geometry.transforms import IDENTITY, Transform
-from ..index.skiplist import SkipList
 from ..index.sortedlist import SortedKeyList
 from .elements import INSERT, LOWER, UPPER, build_events, uid_of_key
 from .intervals import merge_intervals
@@ -113,24 +112,11 @@ def _check_cancel(should_cancel) -> None:
         raise BuildCancelledError("heat-map build cancelled by its caller")
 
 
-def _make_status(backend: str):
-    if backend == "sortedlist":
-        return SortedKeyList()
-    if backend == "skiplist":
-        return SkipList()
-    if backend == "bplustree":
-        from ..index.bplustree import BPlusTree
-
-        return BPlusTree()
-    raise InvalidInputError(f"unknown status backend {backend!r}")
-
-
 def run_crest(
     circles: NNCircleSet,
     measure,
     *,
     use_changed_intervals: bool = True,
-    status_backend: str = "sortedlist",
     collect_fragments: bool = True,
     transform: Transform = IDENTITY,
     on_label=None,
@@ -142,7 +128,6 @@ def run_crest(
         circles: NN-circles (squares — callers handle the L1 rotation).
         measure: callable frozenset -> float, the influence measure.
         use_changed_intervals: False selects the CREST-A ablation.
-        status_backend: 'sortedlist' or 'skiplist'.
         collect_fragments: assemble a RegionSet (off for pure benchmarking).
         transform: recorded on the RegionSet (pi/4 rotation for L1 runs).
         on_label: optional callback (rnn_set, heat) per labeling operation.
@@ -164,7 +149,7 @@ def run_crest(
     y_hi = circles.y_hi.tolist()
     cids = circles.client_ids.tolist()
 
-    status = _make_status(status_backend)
+    status = SortedKeyList()
     records: "dict[int, tuple[frozenset, float | None]]" = {}
     assembler = _FragmentAssembler() if collect_fragments else None
 

@@ -68,6 +68,25 @@ _FORWARD_REQUEST_HEADERS = ("content-type", "if-none-match", "accept")
 #: Most sticky dynamic-handle routes remembered before the oldest drop.
 _MAX_STICKY = 4096
 
+#: Build states, worst first: fleet-wide, one replica's worse state wins.
+_BUILD_PRECEDENCE = ("failed", "evicted", "building", "ready")
+
+
+def _build_rank(status) -> int:
+    """Where a build state falls in ``_BUILD_PRECEDENCE`` (past its end
+    for anything else, such as a replica that does not know the handle)."""
+    if status in _BUILD_PRECEDENCE:
+        return _BUILD_PRECEDENCE.index(status)
+    return len(_BUILD_PRECEDENCE)
+
+
+def _build_state(response: Response):
+    """The build state a replica's answer names (None if unparseable)."""
+    try:
+        return json.loads(response.body).get("status")
+    except (ValueError, AttributeError):
+        return None
+
 
 class ReplicaError(Exception):
     """A replica was unreachable (or broke protocol) — failover material."""
@@ -669,7 +688,10 @@ class FleetProxy(BaseHTTPApp):
 
         Static builds go to every replica concurrently: the shared result
         store's sweep lease makes exactly one of them actually sweep; the
-        rest block briefly and promote.  Dynamic builds pick one replica
+        rest block briefly and promote.  Their answers aggregate with the
+        precedence of ``GET /build/{handle}`` (failed > evicted > building
+        > ready), so a replica whose build failed within its wait is never
+        hidden behind another's ``ready``.  Dynamic builds pick one replica
         round-robin and pin the returned ``dyn-…`` handle to it.
         """
         try:
@@ -704,10 +726,7 @@ class FleetProxy(BaseHTTPApp):
         for response in responses:
             if response.status >= 400:
                 return response
-        for response in responses:
-            if response.status == 202:
-                return response  # someone is still building: poll
-        return responses[0]  # everyone already resident
+        return min(responses, key=lambda r: _build_rank(_build_state(r)))
 
     async def _handle_build_status(self, request: Request, handle: str) -> Response:
         """Aggregate build status: ready only when *every* reachable
@@ -741,15 +760,15 @@ class FleetProxy(BaseHTTPApp):
             raise HTTPError(503, f"no replica reachable for build {handle!r}")
         if all(s == "unknown" for s, _ in statuses):
             raise HTTPError(404, f"unknown build handle {handle!r}")
-        for wanted in ("failed", "evicted"):
-            for s, body in statuses:
-                if s == wanted:
-                    return json_response(body, 200)
-        if any(s == "building" for s, _ in statuses):
+        status, body = min(statuses, key=lambda item: _build_rank(item[0]))
+        if status in ("failed", "evicted"):
+            return json_response(body, 200)
+        if status == "building":
             return json_response(
                 {"handle": handle, "status": "building",
                  "poll": f"/build/{handle}"},
                 202,
+                headers={"Location": f"/build/{handle}"},
             )
         return json_response({"handle": handle, "status": "ready"})
 

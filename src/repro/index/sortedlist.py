@@ -4,9 +4,9 @@ Algorithm 1 of the paper stores the line status in "a balanced search tree
 in which the data are stored in the doubly linked leaf nodes (e.g., a
 B+-tree)".  In CPython, an array with memmove-based inserts is the fastest
 practical realization of the same ordered-set interface for the sizes the
-sweep touches; ``repro.index.skiplist`` provides the pointer-based,
-O(log n)-per-op alternative with linked leaves.  Both implement the
-``StatusStructure`` protocol below, and an ablation benchmark compares them.
+sweep touches: it matched a B+-tree with linked leaves and beat a skip
+list (see ``docs/performance.md``).  It implements the ``StatusStructure``
+protocol below.
 
 Keys are arbitrary comparable tuples whose first component is the "value"
 (the y-coordinate); range operations take *values* and therefore cover all

@@ -113,10 +113,32 @@ def _nearest(clients, facilities, metric: Metric, k: int, monochromatic: bool,
              assign: bool = False) -> "tuple[np.ndarray, np.ndarray | None]":
     """(k-th distance, nearest facility index) per client.  The index,
     found for ``assign`` (k = 1), is the lowest among equally near
-    facilities; else it may be None."""
-    if len(clients) * len(facilities) > _ONE_PASS:
+    facilities; else it may be None.
+
+    Quantile cuts cannot part copies of one facility, so a k = 1
+    bichromatic grid searches each distinct location once, under its
+    lowest index: distances are the same, and so is the lowest index
+    among the nearest.  k > 1 and monochromatic searches count copies.
+    """
+    if len(clients) * len(facilities) <= _ONE_PASS:
+        return _one_pass(clients, facilities, metric, k, monochromatic)
+    first = None if k > 1 or monochromatic else _first_copies(facilities)
+    if first is None:
         return _GridSearch(clients, facilities, metric, k, monochromatic, assign).run()
-    return _one_pass(clients, facilities, metric, k, monochromatic)
+    dist, idx = _GridSearch(clients, facilities[first], metric, 1, False, assign).run()
+    return dist, first[idx] if assign else None
+
+
+def _first_copies(points) -> "np.ndarray | None":
+    """The lowest index of each distinct point, ascending, or None when
+    all are distinct.  A stable lexsort and a diff, since ``np.unique``
+    loads ``numpy.ma``."""
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    p = points[order]
+    new = np.concatenate(([True], (p[1:] != p[:-1]).any(axis=1)))
+    if new.all():
+        return None
+    return np.sort(order[new])
 
 
 def _one_pass(clients, facilities, metric: Metric, k: int, monochromatic: bool):

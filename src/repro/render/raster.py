@@ -7,9 +7,10 @@ for every metric and every surface.  :func:`rasterize_regionset` reads
 it with one batched ``heat_at_many`` call — the float grid a fragment
 table (``RegionSet``) serves under any measure.  The NN-circle surface
 (``repro.core.surface``) rasterizes itself into an unsigned integer count
-grid: it counts the circles' spans down each pixel column rather than
-testing every pixel, and only its rotated L1 frame looks each pixel up.
-Both take their window and pixel centres from :func:`pixel_axes`.
+grid: it counts the circles' runs of rows down each pixel column rather
+than testing every pixel, under every metric (L1 squares in their frame
+rotated by pi/4).  Both take their window and pixel centres from
+:func:`pixel_axes`.
 """
 
 from __future__ import annotations

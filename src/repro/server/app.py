@@ -9,7 +9,7 @@ against:
 ``GET  /stats``                           service/HTTP/latency counters
 ``GET  /openapi.yaml``                    the machine-readable API contract
 ``POST /datasets``                        register client/facility arrays
-``POST /build``                           kick a build by fingerprint (202)
+``POST /build``                           kick a build by fingerprint
 ``GET  /build/{handle}``                  poll build status
 ``POST /query/{handle}``                  JSON batch heat / rnn / top-k
 ``POST /update/{handle}``                 dynamic update batch (lazy rebuild)
@@ -106,6 +106,10 @@ _METRICS = ("l1", "l2", "linf")
 #: One tile request must stay bounded: level 30 already addresses 4^30
 #: tiles, far past float resolution of any world rect.
 _MAX_TILE_ZOOM = 30
+
+#: How long ``POST /build`` and ``GET /build/{handle}`` wait for a running
+#: build before answering 202: a small build answers on its own request.
+_BUILD_WAIT_S = 0.05
 
 #: Terminal build records kept for polling before the oldest are pruned
 #: (in-progress records are never pruned — their tasks are referenced).
@@ -768,7 +772,9 @@ class HeatMapHTTPApp(BaseHTTPApp):
         }
 
     async def _handle_build(self, request: Request) -> Response:
-        """Kick (or recall) a build; 202 + poll URL until it is resident.
+        """Kick (or recall) a build and answer with its state once it
+        finishes or ``_BUILD_WAIT_S`` passes: 200 ``ready`` (or
+        ``failed``) when it finished, else 202 + poll URL.
 
         Static builds are keyed by input fingerprint: posting the same
         body twice returns the same handle, and a resident handle answers
@@ -782,7 +788,8 @@ class HeatMapHTTPApp(BaseHTTPApp):
         clients, facilities = self._dataset(payload)
         params = self._build_params(payload)
         if self._bool_field(payload, "dynamic"):
-            return await self._start_dynamic_build(clients, facilities, params)
+            handle = self._start_dynamic_build(clients, facilities, params)
+            return await self._build_answer(handle)
         handle = await self._run(
             request_fingerprint, clients, facilities,
             metric=params["metric"], algorithm=params["algorithm"],
@@ -799,11 +806,39 @@ class HeatMapHTTPApp(BaseHTTPApp):
                 self._run_build(handle, clients, facilities, params)
             )
             self._builds[handle] = state
-        return json_response(
-            {"handle": handle, "status": "building", "poll": f"/build/{handle}"},
-            202,
-            headers={"Location": f"/build/{handle}"},
-        )
+        return await self._build_answer(handle)
+
+    async def _build_answer(self, handle: str) -> Response:
+        """The build's state, once its task finishes or ``_BUILD_WAIT_S``
+        passes: 200 ``ready``, ``failed`` (with the error) or ``evicted``,
+        else 202 ``building`` with the poll URL.
+
+        ``asyncio.wait`` neither cancels the build on its timeout nor when
+        the request itself is cancelled (a client hanging up), and the
+        waiting request holds no executor thread.
+        """
+        state = self._builds.get(handle)
+        task = state.get("task") if state is not None else None
+        if task is not None and not task.done():
+            await asyncio.wait({task}, timeout=_BUILD_WAIT_S)
+        if handle in self.service.handles():
+            return json_response({"handle": handle, "status": "ready"})
+        state = self._builds.get(handle)
+        if state is None:
+            raise HTTPError(404, f"unknown build handle {handle!r}")
+        status = state["status"]
+        if status == "building":
+            return json_response(
+                {"handle": handle, "status": status, "poll": f"/build/{handle}"},
+                202,
+                headers={"Location": f"/build/{handle}"},
+            )
+        if status == "ready":
+            status = "evicted"
+        body = {"handle": handle, "status": status}
+        if state["error"] is not None:
+            body["error"] = state["error"]
+        return json_response(body)
 
     def _record_build(self, handle: str, status: str, error: "str | None") -> None:
         """Record a terminal build state, pruning the oldest terminal
@@ -836,8 +871,9 @@ class HeatMapHTTPApp(BaseHTTPApp):
         else:
             self._record_build(handle, "ready", None)
 
-    async def _start_dynamic_build(self, clients, facilities, params) -> Response:
-        """Attach a new ``DynamicHeatMap`` under a fresh fleet-unique handle.
+    def _start_dynamic_build(self, clients, facilities, params) -> str:
+        """Start attaching a new ``DynamicHeatMap`` under a fresh
+        fleet-unique handle, and return the handle.
 
         Handles are ``dyn-<token>-<seq>`` where the token is minted once
         per app from the OS entropy pool: the ``dyn-`` prefix keeps the
@@ -886,32 +922,18 @@ class HeatMapHTTPApp(BaseHTTPApp):
 
         state["task"] = asyncio.create_task(run())
         self._builds[handle] = state
-        return json_response(
-            {"handle": handle, "status": "building", "poll": f"/build/{handle}"},
-            202,
-            headers={"Location": f"/build/{handle}"},
-        )
+        return handle
 
     async def _handle_build_status(self, request: Request, handle: str) -> Response:
-        """Poll a build kicked by ``POST /build``.
+        """Poll a build kicked by ``POST /build``; a running build is
+        waited for as ``POST /build`` waits (:meth:`_build_answer`).
 
         A handle that finished building but has since been LRU-evicted
         from the service reports ``"evicted"`` (not a stale ``"ready"``):
         the client re-POSTs ``/build`` — a promotion from the persistent
-        store or a re-sweep, never a ready-but-404 contradiction.
+        store or a rebuild, never a ready-but-404 contradiction.
         """
-        if handle in self.service.handles():
-            return json_response({"handle": handle, "status": "ready"})
-        state = self._builds.get(handle)
-        if state is None:
-            raise HTTPError(404, f"unknown build handle {handle!r}")
-        status = state["status"]
-        if status == "ready":
-            status = "evicted"
-        body = {"handle": handle, "status": status}
-        if state["error"] is not None:
-            body["error"] = state["error"]
-        return json_response(body, 202 if status == "building" else 200)
+        return await self._build_answer(handle)
 
     # ------------------------------------------------------------------
     # Queries, updates, tiles

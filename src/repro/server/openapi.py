@@ -186,12 +186,16 @@ SPEC = {
             "post": {
                 "summary": "Kick (or recall) a heat-map build",
                 "description": (
-                    "Static builds are keyed by input fingerprint and "
-                    "answered 202 + poll URL while building, 200/ready once "
-                    "resident (a size-measure build is the NN radii plus a "
-                    "circle index, and no later request sweeps it). "
+                    "Static builds are keyed by input fingerprint. The "
+                    "request waits up to 50 ms for the build, then answers "
+                    "its state: 200 ready (resident, or finished within the "
+                    "wait) or failed (with the error a poll would give), else "
+                    "202 + poll URL. A size-measure build is the NN radii "
+                    "plus a circle index, so a small one answers ready and "
+                    "needs no poll, and no later request sweeps it. "
                     "Concurrent identical requests coalesce onto "
-                    "one build. dynamic=true attaches a DynamicHeatMap "
+                    "one build; a client hanging up during the wait leaves "
+                    "the build running. dynamic=true attaches a DynamicHeatMap "
                     "(unique dyn-N handle) that accepts /update batches."
                 ),
                 "operationId": "build",
@@ -206,7 +210,10 @@ SPEC = {
                 },
                 "responses": {
                     "200": {
-                        "description": "Already resident",
+                        "description": (
+                            "Resident or finished within the wait (ready), "
+                            "or failed within it (with its error)"
+                        ),
                         "content": {
                             "application/json": {
                                 "schema": {"$ref": "#/components/schemas/BuildStatus"}
@@ -214,7 +221,10 @@ SPEC = {
                         },
                     },
                     "202": {
-                        "description": "Build started; poll the Location URL",
+                        "description": (
+                            "Still building after the wait; poll the "
+                            "Location URL"
+                        ),
                         "content": {
                             "application/json": {
                                 "schema": {"$ref": "#/components/schemas/BuildStatus"}
@@ -231,6 +241,10 @@ SPEC = {
         "/build/{handle}": {
             "get": {
                 "summary": "Poll a build kicked by POST /build",
+                "description": (
+                    "A running build is waited for up to 50 ms, as POST "
+                    "/build waits, before the answer."
+                ),
                 "operationId": "buildStatus",
                 "parameters": [
                     {
@@ -243,7 +257,10 @@ SPEC = {
                 ],
                 "responses": {
                     "200": {
-                        "description": "Terminal status (ready or failed)",
+                        "description": (
+                            "Terminal status (ready, failed or evicted), "
+                            "reached before or within the wait"
+                        ),
                         "content": {
                             "application/json": {
                                 "schema": {"$ref": "#/components/schemas/BuildStatus"}
@@ -251,7 +268,10 @@ SPEC = {
                         },
                     },
                     "202": {
-                        "description": "Still building",
+                        "description": (
+                            "Still building after the wait; poll the "
+                            "Location URL again"
+                        ),
                         "content": {
                             "application/json": {
                                 "schema": {"$ref": "#/components/schemas/BuildStatus"}

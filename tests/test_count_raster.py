@@ -68,27 +68,53 @@ def _assert_pixels_are_heats(surface, size: int, bounds: Rect) -> None:
 
 
 class TestRasterEqualsPointQueries:
-    @settings(max_examples=25, derandomize=True)
+    @settings(max_examples=60, derandomize=True)
     @given(
-        metric=st.sampled_from(["l2", "linf"]),
+        metric=st.sampled_from(["l2", "linf", "l1"]),
         kind=st.sampled_from(KINDS),
         seed=st.integers(0, 10_000),
         z=st.integers(0, 6),
         address=st.tuples(st.floats(0, 1, exclude_max=True), st.floats(0, 1, exclude_max=True)),
-        size=st.sampled_from([1, 97, 256]),
+        size=st.sampled_from([1, 64, 97, 256]),
         unit=st.booleans(),
     )
     def test_span_raster_fuzz(self, metric, kind, seed, z, address, size, unit):
-        """Identity-frame surfaces count spans per column; every pixel
-        still equals the point query at its centre.  Tiles of the unit
-        square have dyadic pixel centres, which the dyadic circles of
-        "on-boundary" inputs touch exactly."""
+        """Every surface counts runs of rows per column, L1 squares in the
+        rotated frame; every pixel still equals the point query at its
+        centre.  Tiles of the unit square have dyadic pixel centres, which
+        the dyadic circles of "on-boundary" inputs touch exactly."""
         clients, facilities = _points(kind, seed)
         surface = RNNHeatMap(clients, facilities, metric=metric).surface().region_set
         world = Rect(0.0, 1.0, 0.0, 1.0) if unit else world_bounds(surface)
         n = 1 << z
         tx, ty = int(address[0] * n), int(address[1] * n)
         _assert_pixels_are_heats(surface, size, tile_bounds(world, z, tx, ty))
+
+    @settings(max_examples=30, derandomize=True)
+    @given(
+        metric=st.sampled_from(["l2", "linf", "l1"]),
+        seed=st.integers(0, 10_000),
+        z=st.integers(0, 4),
+        address=st.tuples(st.floats(0, 1, exclude_max=True), st.floats(0, 1, exclude_max=True)),
+        size=st.sampled_from([7, 64, 256]),
+    )
+    def test_points_on_pixel_centres(self, metric, seed, z, address, size):
+        """Clients and facilities on the dyadic lattice of a unit-square
+        tile's pixel centres.  A client's nearest facility lies on its
+        circle, so pixel centres land exactly on circle edges, and in the
+        rotated L1 frame on square edges too: the pixel and the facility
+        round alike there, and so, for nearby coordinates, does
+        ``client + radius``."""
+        n = 1 << z
+        tx, ty = int(address[0] * n), int(address[1] * n)
+        bounds = tile_bounds(Rect(0.0, 1.0, 0.0, 1.0), z, tx, ty)
+        centres = pixel_centres(bounds, size)
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 10))
+        pick = rng.permutation(len(centres))[: min(len(centres), 70)]
+        clients, facilities = centres[pick[m:]], centres[pick[:m]]
+        surface = RNNHeatMap(clients, facilities, metric=metric).surface().region_set
+        _assert_pixels_are_heats(surface, size, bounds)
 
     @pytest.mark.parametrize("metric", ["l2", "linf", "l1"])
     def test_window_past_the_world(self, metric):
@@ -105,6 +131,20 @@ class TestRasterEqualsPointQueries:
         surface = NNCircleSurface(NNCircleSet(none, none, none, metric))
         grid, _ = surface.rasterize(7, 5, Rect(0.0, 1.0, 0.0, 1.0))
         assert grid.dtype == np.uint8 and grid.shape == (5, 7) and not grid.any()
+
+    @pytest.mark.parametrize("metric", ["l2", "linf", "l1"])
+    def test_no_pixel_is_tested_alone(self, metric, monkeypatch):
+        """Rasters count runs of rows: no metric looks pixels up one by one."""
+        clients, facilities = _points("rounded", 5)
+        surface = RNNHeatMap(clients, facilities, metric=metric).surface().region_set
+        want = surface.heat_at_many(pixel_centres(world_bounds(surface), 64))
+
+        def per_pixel(*_args):
+            raise AssertionError("the raster tested pixels one by one")
+
+        monkeypatch.setattr(NNCircleSurface, "_count", per_pixel)
+        grid, _ = surface.rasterize(64, 64, world_bounds(surface))
+        np.testing.assert_array_equal(grid.ravel(), want)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_l1_counts_each_pixel_in_the_same_dtype(self, kind):

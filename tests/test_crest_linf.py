@@ -1,9 +1,10 @@
 """CREST under L-infinity: correctness against the brute-force oracle,
-CREST vs CREST-A equivalence, status backends, degenerate inputs."""
+CREST vs CREST-A equivalence, degenerate inputs."""
 
 import numpy as np
 import pytest
 
+from repro import RNNHeatMap
 from repro.core.sweep_linf import run_crest
 from repro.geometry.circle import NNCircleSet
 from repro.influence.measures import SizeMeasure
@@ -54,20 +55,14 @@ class TestRandomInstances:
                           collect_fragments=False)
         assert s1.labels < s2.labels / 2  # the optimization must bite
 
-    def test_status_backends_identical_output(self):
-        _o, _f, circles = make_instance(11, 60, 9, "linf")
-        s1, rs1 = run_crest(circles, SizeMeasure(), status_backend="sortedlist")
-        s2, rs2 = run_crest(circles, SizeMeasure(), status_backend="skiplist")
-        assert s1.labels == s2.labels
-        f1 = sorted((f.x_lo, f.x_hi, f.y_lo, f.y_hi, f.heat) for f in rs1.fragments)
-        f2 = sorted((f.x_lo, f.x_hi, f.y_lo, f.y_hi, f.heat) for f in rs2.fragments)
-        assert f1 == f2
-
-    def test_unknown_backend_raises(self):
-        from repro.errors import InvalidInputError
-        _o, _f, circles = make_instance(0, 10, 3, "linf")
-        with pytest.raises(InvalidInputError):
-            run_crest(circles, SizeMeasure(), status_backend="btree")
+    def test_status_backend_is_not_an_option(self):
+        """The sweep's status is a ``SortedKeyList``: choosing another is a
+        ``TypeError``, never silently ignored."""
+        o, f, circles = make_instance(0, 10, 3, "linf")
+        with pytest.raises(TypeError):
+            run_crest(circles, SizeMeasure(), status_backend="skiplist")
+        with pytest.raises(TypeError):
+            RNNHeatMap(o, f, metric="linf").build(status_backend="skiplist")
 
 
 class TestHandConstructed:

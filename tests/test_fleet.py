@@ -326,6 +326,38 @@ def test_build_storm_sweeps_exactly_once_fleet_wide(fleet):
     assert stats["fleet"].get("store_writes", 0) >= 1
 
 
+def test_failed_replica_build_wins_the_fan_out():
+    """``POST /build`` through the proxy aggregates as ``GET /build``
+    does (failed > evicted > building > ready): a replica whose build
+    fails within its wait is not hidden behind another's ready."""
+    replicas = [ThreadedHTTPServer(tile_size=TILE_SIZE).start() for _ in range(2)]
+
+    def broken(_handle):
+        raise RuntimeError("this replica cannot build")
+
+    replicas[-1].app.service.service.on_build = broken
+    proxy = ThreadedHTTPServer(app=FleetProxy(
+        [f"127.0.0.1:{srv.port}" for srv in replicas],
+        vnodes=VNODES, startup_timeout=10.0,
+    )).start()
+    try:
+        clients, facilities = _instance()
+        _s, ds = _post(proxy.url + "/datasets", {
+            "clients": clients.tolist(), "facilities": facilities.tolist(),
+        })
+        status, kicked = _post(proxy.url + "/build", {"dataset": ds["dataset"]})
+        assert (status, kicked["status"]) == (200, "failed")
+        assert "cannot build" in kicked["error"]
+        _s, body, _h = _get(f"{proxy.url}/build/{kicked['handle']}")
+        assert json.loads(body) == kicked
+        _s, body, _h = _get(f"{replicas[0].url}/build/{kicked['handle']}")
+        assert json.loads(body)["status"] == "ready"
+    finally:
+        proxy.close()
+        for srv in replicas:
+            srv.close()
+
+
 def test_sse_subscriber_observes_update_push_via_proxy(fleet):
     """Push invalidation: the bump arrives without any polling."""
     rng = np.random.default_rng(SEED + 3)

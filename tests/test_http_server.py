@@ -64,6 +64,15 @@ def _post(url, payload):
         return resp.status, json.loads(resp.read())
 
 
+def _post_with_headers(url, payload):
+    req = urllib.request.Request(
+        url, data=json.dumps(payload).encode(),
+        headers={"Content-Type": "application/json"},
+    )
+    with urllib.request.urlopen(req, timeout=30) as resp:
+        return resp.status, json.loads(resp.read()), dict(resp.headers)
+
+
 def _poll_ready(base, handle, timeout=60.0):
     deadline = time.time() + timeout
     while time.time() < deadline:
@@ -522,9 +531,8 @@ def test_dynamic_serving_never_sweeps(monkeypatch):
         status, kicked = _post(srv.url + "/build", {
             "dataset": ds["dataset"], "dynamic": True, "rebuild": "sometimes",
         })
-        assert status == 202
+        assert (status, kicked["status"]) == (200, "ready")
         handle = kicked["handle"]
-        assert _poll_ready(srv.url, handle)["status"] == "ready"
         fetch_tiles()
         for step in range(3):
             x, y = rng.random(2)
@@ -667,9 +675,13 @@ def test_dataset_registry_is_lru_bounded():
             _post(srv.url + "/build", {"dataset": ids[0]})
         assert exc.value.code == 404
         assert "evicted" in json.loads(exc.value.read())["error"]["message"]
-        # The newest two still build fine.
-        _s, kicked = _post(srv.url + "/build", {"dataset": ids[2]})
-        assert kicked["status"] in ("building", "ready")
+        # The newest two still build fine (monochromatic: they hold
+        # clients only, so a bichromatic build fails within the wait).
+        for dataset in ids[1:]:
+            _s, kicked = _post(srv.url + "/build", {
+                "dataset": dataset, "monochromatic": True,
+            })
+            assert kicked["status"] == "ready"
 
 
 def test_update_batch_simulates_adds_during_validation(server):
@@ -781,6 +793,97 @@ def test_build_failure_is_reported_via_poll(server):
     state = _poll_ready(server.url, kicked["handle"])
     assert state["status"] == "failed"
     assert "L2" in state["error"] or "l2" in state["error"]
+
+
+@pytest.mark.parametrize("build", [
+    {"metric": "l2"}, {"metric": "l1"}, {"metric": "linf"}, {"dynamic": True},
+], ids=["l2", "l1", "linf", "dynamic"])
+def test_small_build_answers_ready_on_the_post(server, build):
+    """A build that finishes within the wait answers 200 ready on its own
+    POST, and its tile is served straight after, with no poll."""
+    rng = np.random.default_rng(SEED + 11)
+    _s, ds = _post(server.url + "/datasets", {
+        "clients": rng.random((40, 2)).tolist(),
+        "facilities": rng.random((8, 2)).tolist(),
+    })
+    status, kicked = _post(server.url + "/build", dict(build, dataset=ds["dataset"]))
+    assert (status, kicked["status"]) == (200, "ready")
+    status, png, _h = _get(f"{server.url}/tiles/{kicked['handle']}/0/0/0.png")
+    assert status == 200 and decode_png(png).shape == (TILE_SIZE, TILE_SIZE, 3)
+
+
+def test_build_held_past_the_wait_answers_202_then_ready():
+    """A build still running when the wait ends answers 202 with its poll
+    URL in ``Location``; a poll of it waits and answers 202 as well, and
+    once the build is let go a poll answers ready."""
+    clients, facilities = _instance()
+    release = threading.Event()
+    with ThreadedHTTPServer(tile_size=16) as srv:
+        _s, ds = _post(srv.url + "/datasets", {
+            "clients": clients.tolist(), "facilities": facilities.tolist(),
+        })
+        srv.app.service.service.on_build = lambda _handle: release.wait(15)
+        try:
+            status, kicked, headers = _post_with_headers(
+                srv.url + "/build", {"dataset": ds["dataset"]}
+            )
+            handle = kicked["handle"]
+            assert (status, kicked["status"]) == (202, "building")
+            assert headers["Location"] == kicked["poll"] == f"/build/{handle}"
+            status, body, headers = _get(srv.url + kicked["poll"])
+            assert status == 202 and json.loads(body)["status"] == "building"
+            assert headers["Location"] == f"/build/{handle}"
+        finally:
+            release.set()
+        assert _poll_ready(srv.url, handle)["status"] == "ready"
+        assert _get(f"{srv.url}/tiles/{handle}/0/0/0.png")[0] == 200
+
+
+def test_hung_up_build_post_leaves_the_build_running():
+    """A client that hangs up while its POST waits cancels the request,
+    not the build: a later poll answers ready."""
+    clients, facilities = _instance()
+    started, release = threading.Event(), threading.Event()
+    with ThreadedHTTPServer(tile_size=16) as srv:
+        _s, ds = _post(srv.url + "/datasets", {
+            "clients": clients.tolist(), "facilities": facilities.tolist(),
+        })
+        srv.app.service.service.on_build = \
+            lambda _handle: (started.set(), release.wait(15))
+        try:
+            body = json.dumps({"dataset": ds["dataset"]}).encode()
+            sock = socket.create_connection((srv.host, srv.port), timeout=10)
+            sock.sendall(
+                f"POST /build HTTP/1.1\r\nHost: {srv.host}\r\n"
+                f"Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n".encode() + body
+            )
+            assert started.wait(timeout=15)
+            sock.close()
+            deadline = time.time() + 10
+            while srv.app.http_stats.cancelled_requests < 1:
+                assert time.time() < deadline, "the hang-up never cancelled the POST"
+                time.sleep(0.01)
+        finally:
+            release.set()
+        [handle] = srv.app._builds
+        assert _poll_ready(srv.url, handle)["status"] == "ready"
+
+
+def test_build_failure_answers_on_the_post(server):
+    """A build that fails within the wait answers the failed body a poll
+    gives."""
+    rng = np.random.default_rng(SEED + 12)
+    _s, ds = _post(server.url + "/datasets", {
+        "clients": rng.random((30, 2)).tolist(),
+        "facilities": rng.random((6, 2)).tolist(),
+    })
+    status, kicked = _post(server.url + "/build", {
+        "dataset": ds["dataset"], "metric": "l2", "algorithm": "baseline",
+    })
+    assert (status, kicked["status"]) == (200, "failed")
+    _s, body, _h = _get(f"{server.url}/build/{kicked['handle']}")
+    assert json.loads(body) == kicked
 
 
 # ----------------------------------------------------------------------

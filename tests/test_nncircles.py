@@ -73,6 +73,16 @@ def instances(draw):
     return clients, facilities
 
 
+@st.composite
+def duplicated(draw):
+    """Clients of :func:`instances` against a few facility sites, each
+    copied many times, in shuffled order."""
+    clients, sites = draw(instances())
+    sites = sites[: draw(st.integers(1, 6))]
+    facilities = np.repeat(sites, draw(st.integers(2, 40)), axis=0)
+    return clients, facilities[draw(st.permutations(range(len(facilities))))]
+
+
 class TestGridSearchExact:
     """The grid search (forced even on small inputs, in tiny blocks)
     returns what the per-client brute-force scan returns, bit for bit."""
@@ -99,6 +109,21 @@ class TestGridSearchExact:
         for i, q in enumerate(clients):
             d = METRICS[metric].pairwise_to_point(facilities, q)
             assert index[i] == np.argmin(d) and dist[i] == d.min()
+
+    @settings(max_examples=40)
+    @given(duplicated(), st.sampled_from(list(METRICS)), st.integers(1, 3))
+    def test_duplicated_facilities(self, inst, metric, k):
+        """The k = 1 grid searches each facility site once; distances and
+        lowest-index ties are still brute force's."""
+        clients, facilities = inst
+        m = METRICS[metric]
+        with mock.patch.object(nncircles, "_ONE_PASS", 0):
+            got = nn_distances(clients, facilities, metric, k=k)
+            index, dist = nn_assign(clients, facilities, metric)
+        assert np.array_equal(got, _brute_nn(clients, facilities, m, False, k))
+        d = m.pairwise_to_point(facilities[None], clients[:, None])
+        assert np.array_equal(index, np.argmin(d, axis=1))
+        assert np.array_equal(dist, d.min(axis=1))
 
     @pytest.mark.parametrize("metric", list(METRICS))
     def test_assign_ties_across_search_rounds(self, metric):

@@ -1,8 +1,8 @@
-"""Sweep status structures: SortedKeyList and SkipList against a model.
+"""The sweep status structure: SortedKeyList against a model.
 
-Both must implement the same ordered-set semantics: unique keys, in-order
-iteration from a value, predecessor-by-value, and neighbor-reporting
-insert/remove (the operations Algorithm 1 relies on).
+It must implement ordered-set semantics: unique keys, in-order iteration
+from a value, predecessor-by-value, and neighbor-reporting insert/remove
+(the operations Algorithm 1 relies on).
 """
 
 import bisect
@@ -11,11 +11,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.index.bplustree import BPlusTree
-from repro.index.skiplist import SkipList
 from repro.index.sortedlist import SortedKeyList
 
-BACKENDS = [SortedKeyList, SkipList, BPlusTree]
+BACKENDS = [SortedKeyList]
 
 key_strategy = st.tuples(
     st.floats(-50, 50, allow_nan=False),

@@ -435,13 +435,12 @@ def _duplicated():
 
 
 def _on_boundary():
-    """Lattice points: facilities on other clients' circles, shared edges.
-    Clients on a facility, which bound no circle, are left out."""
+    """Lattice points: facilities on other clients' circles, shared edges,
+    and clients standing on a facility (13 and 16), which bound no circle."""
     rng = np.random.default_rng(4)
     clients = rng.integers(0, 11, (40, 2)) / 10.0
     facilities = rng.integers(0, 11, (8, 2)) / 10.0
-    apart = (clients[:, None, :] != facilities[None, :, :]).any(axis=2).all(axis=1)
-    return clients[apart], facilities
+    return clients, facilities
 
 
 TOP_K_INPUTS = {
@@ -473,6 +472,23 @@ class TestTopK:
         assert_top_k_exact(service.result(h), clients, facilities, metric)
         assert service.top_k_heats(h, 1)[0] == service.max_heat(h)
         assert not service.result(h).region_set.swept
+
+    @pytest.mark.parametrize("engine", ["knn-graph", "lsh-rnn"])
+    def test_client_on_a_facility_has_no_circle(self, engine):
+        """The approximate engines measure a client standing on a facility
+        at radius 0, as the exact ones do, so they keep the same circles
+        (radii to rounding: of two facilities at one true distance, the
+        matmul may choose the one whose rounded distance is an ulp longer)."""
+        clients, facilities = _on_boundary()
+        service = HeatMapService()
+        exact, approx = (
+            service.result(service.build(clients, facilities, algorithm=a)).region_set.circles
+            for a in ("crest", engine)
+        )
+        assert len(approx) == len(exact) == 38
+        for name in ("client_ids", "cx", "cy"):
+            np.testing.assert_array_equal(getattr(approx, name), getattr(exact, name))
+        np.testing.assert_allclose(approx.radius, exact.radius, rtol=1e-12)
 
     def test_shared_x_lists_the_maximum_first(self):
         """The sweep labels a fragment of this map 9; its heat is 8."""
